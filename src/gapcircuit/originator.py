@@ -31,7 +31,19 @@ _TOKEN_RE = re.compile(r"[^\s,]+")
 
 
 def _coerce_terms(values: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Copy values into a read-only int64 array, rejecting anything that does not fit."""
+    """Copy values into a read-only int64 array, rejecting anything that does not fit.
+
+    A read-only int64 array that owns its data, as the sieve returns, is
+    taken as is, which saves a second copy of every prime array.  Writable
+    arrays, and read-only views whose base may be writable, are copied.
+    """
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.int64
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     if isinstance(values, np.ndarray) and np.issubdtype(values.dtype, np.integer):
         if values.dtype == np.uint64 and values.size and int(values.max()) > I64_MAX:
             raise Int64OverflowError(

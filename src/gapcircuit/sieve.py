@@ -1,8 +1,11 @@
-"""Segmented sieve of Eratosthenes.
+"""Odd-only segmented sieve of Eratosthenes.
 
 Base primes up to sqrt(limit) are found with a plain sieve; the rest of the
 range is processed in fixed-size windows so the working set stays
-cache-resident regardless of the limit.
+cache-resident regardless of the limit.  Windows hold odd integers only:
+even numbers above 2 are never stored or crossed out, so each flag byte
+covers two integers and the Python loop over the base primes, which runs
+once per window, runs half as often for a window of the same byte size.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import numpy as np
 
 from .errors import RangeError, SieveBudgetError
 
-# Window of integers sieved per segment.  Tunable: larger windows trade cache
-# locality for fewer passes over the base primes.
-SEGMENT_SIZE = 1 << 18
+# Odd integers sieved per window (one byte of flag each).  Larger windows trade
+# cache locality for fewer passes of the Python loop over the base primes.
+SEGMENT_SIZE = 1 << 20
 
 # Ceiling on the byte size of any emitted prime array (8 bytes per prime).
 DEFAULT_BUDGET_BYTES = 1 << 29
@@ -83,8 +86,9 @@ def primes_up_to_array(
 ) -> np.ndarray:
     """All primes <= limit, increasing, as an int64 array.
 
-    Raises ``RangeError`` for limit < 2 and ``SieveBudgetError`` when the
-    estimated output would exceed the budget.
+    ``segment_size`` is the number of odd integers per window (default
+    ``SEGMENT_SIZE``).  Raises ``RangeError`` for limit < 2 and
+    ``SieveBudgetError`` when the estimated output would exceed the budget.
     """
     if limit < 2:
         raise RangeError(f"prime limit must be at least 2, got {limit}")
@@ -100,18 +104,23 @@ def primes_up_to_array(
     if window < 1:
         raise RangeError(f"segment size must be positive, got {window}")
 
-    root = math.isqrt(limit)
+    root = max(math.isqrt(limit), 2)
     base = _simple_sieve(root)
     chunks = [base]
-    base_ints = [int(p) for p in base]
-    for lo in range(root + 1, limit + 1, window):
-        hi = min(lo + window, limit + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base_ints:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                seg[start - lo :: p] = False
-        chunks.append(np.flatnonzero(seg).astype(np.int64) + lo)
+    odd_base = base[1:]
+    steps = odd_base.tolist()
+    # Flag i of a window stands for the odd integer lo + 2i.  Every base
+    # prime is below lo, so crossing out from its first odd multiple >= lo
+    # never hits a prime.
+    for lo in range((root + 1) | 1, limit + 1, 2 * window):
+        count = min(window, (limit - lo) // 2 + 1)
+        first = -(-lo // odd_base) * odd_base
+        # Adding an odd p to an even multiple of p makes it odd.
+        first += odd_base * (first % 2 == 0)
+        seg = np.ones(count, dtype=bool)
+        for p, start in zip(steps, ((first - lo) // 2).tolist()):
+            seg[start::p] = False
+        chunks.append(np.flatnonzero(seg) * 2 + lo)
     primes = np.concatenate(chunks)
     primes.setflags(write=False)
     return primes

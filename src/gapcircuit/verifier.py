@@ -8,7 +8,18 @@ such a row on, every later row must again start with 1, because absolute
 differences keep {0, 2} values inside {0, 2} and |x - 1| = 1 for x in
 {0, 2}.  That certificate lets it skip the remaining rows entirely.
 
-Both methods stream: only the current row is held, so memory stays O(n).
+The naive sweep streams full-width int64 rows through two buffers, so
+memory stays O(n).  The frontier scan works on one column tile at a time,
+in the narrowest signed dtype that holds max(row 1): entries of row 1 are
+nonnegative and |x - y| <= max(x, y), so no later row exceeds that bound.
+Entry j of row k depends only on entries j..j+k-1 of row 1, so a tile with
+a halo of D = min(scan_depth, n - 1) extra columns can be derived through
+row D by itself.  Once a tile's region is all 0s and 2s it stays so (one
+column shorter per row), so every tile has a first such row, and the first
+row whose whole tail is in {0, 2} is the largest of these.  Tile 0 also
+carries the leaders, and a leader other than 1 there ends the scan.  A tile
+still unsettled at row D means no row within the scan depth has the
+certificate shape, so the run falls back to the naive sweep.
 """
 
 from __future__ import annotations
@@ -31,6 +42,10 @@ from .originator import (
 from .triangle import _abs_diff_checked
 
 DEFAULT_SCAN_DEPTH = 500
+
+# Columns per tile of the frontier scan.  With its halo, a tile's two
+# buffers stay cache-resident for every dtype up to int32.
+TILE_COLUMNS = 1 << 16
 
 # How many failing sequences a search report keeps for replay.
 KEPT_FAILURES = 5
@@ -83,41 +98,103 @@ def _derive_into(row: np.ndarray, spare: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def verify_naive(o: Originator) -> VerifyReport:
-    """Derive every row and check each leading segment directly."""
-    start = time.perf_counter()
-    n = o.n
-    row = _first_row(o)
-    spare = np.empty(max(n - 2, 0), dtype=np.int64)
-    all_ones = True
-    first_failure = None
-    max_checked = 0
+def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:
+    """Derive every row from row 1 at full width, checking each leader.
+
+    Returns ``(first_failure, max_order_checked)``.  ``row`` is used as one
+    of the two ping-pong buffers and is overwritten.
+    """
+    n = row.size + 1
+    spare = np.empty(max(n - 2, 0), dtype=row.dtype)
     length = n - 1
     for k in range(1, n):
         leader = int(row[0])
         if leader != 1:
-            all_ones = False
-            first_failure = (k, leader)
-            break
-        max_checked = k
+            return (k, leader), k - 1
         if k < n - 1:
             row, spare = _derive_into(row, spare, length), row
             length -= 1
+    return None, n - 1
+
+
+def _report(
+    o: Originator,
+    start: float,
+    first_failure: tuple[int, int] | None,
+    max_checked: int,
+    stabilization_row: int | None = None,
+) -> VerifyReport:
     return VerifyReport(
-        n=n,
-        method="naive",
-        all_ones=all_ones,
+        n=o.n,
+        method="frontier" if stabilization_row is not None else "naive",
+        all_ones=first_failure is None,
         max_order_checked=max_checked,
         first_failure=first_failure,
-        stabilization_row=None,
+        stabilization_row=stabilization_row,
         elapsed=time.perf_counter() - start,
     )
 
 
-def _is_stable(row: np.ndarray, length: int) -> bool:
-    """(1, tail) with the whole tail in {0, 2}: the certificate shape."""
-    tail = row[1:length]
-    return bool(((tail == 0) | (tail == 2)).all())
+def verify_naive(o: Originator) -> VerifyReport:
+    """Derive every row and check each leading segment directly."""
+    start = time.perf_counter()
+    first_failure, max_checked = _sweep(_first_row(o))
+    return _report(o, start, first_failure, max_checked)
+
+
+def _narrowest_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds 0..bound."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _zeros_and_twos(values: np.ndarray) -> bool:
+    """Whether every (nonnegative) value is 0 or 2; true when empty."""
+    if values.size == 0:
+        return True
+    if values.max() > 2:
+        return False
+    return not (values == 1).any()
+
+
+def _scan_tiles(row: np.ndarray, depth: int) -> tuple[tuple[int, int] | None, int] | None:
+    """The frontier scan of rows 1..depth, one column tile at a time.
+
+    Returns ``(first_failure, None)`` for a leader other than 1 met before
+    the certificate, ``(None, stabilization_row)`` for a certificate, and
+    None when some tile is not all 0s and 2s by row ``depth``.
+    """
+    m = row.size
+    buffers = np.empty(
+        (2, min(TILE_COLUMNS + depth, m)), dtype=_narrowest_dtype(int(row.max()))
+    )
+    certificate = 1
+    for lo in range(0, m, TILE_COLUMNS):
+        cur, nxt = buffers
+        length = min(lo + TILE_COLUMNS + depth, m) - lo
+        cur[:length] = row[lo : lo + length]
+        # Tile 0 holds the leader, which the certificate shape excludes.
+        region_start = 1 if lo == 0 else 0
+        k = 1
+        while True:
+            if lo == 0 and cur[0] != 1:
+                return (k, int(cur[0])), None
+            # Only the largest first-stable row matters, so a tile is first
+            # checked at the certificate row found so far, or once it has
+            # run out of columns.
+            if (k >= certificate or length == 0) and _zeros_and_twos(
+                cur[region_start:length]
+            ):
+                certificate = max(certificate, k)
+                break
+            if k == depth:
+                return None
+            cur, nxt = _derive_into(cur, nxt, length), cur
+            length -= 1
+            k += 1
+    return None, certificate
 
 
 def verify_frontier(o: Originator, scan_depth: int = DEFAULT_SCAN_DEPTH) -> VerifyReport:
@@ -132,37 +209,16 @@ def verify_frontier(o: Originator, scan_depth: int = DEFAULT_SCAN_DEPTH) -> Veri
     start = time.perf_counter()
     if scan_depth < 1:
         raise RangeError(f"scan depth must be at least 1, got {scan_depth}")
-    n = o.n
     row = _first_row(o)
-    spare = np.empty(max(n - 2, 0), dtype=np.int64)
-    all_ones = True
-    first_failure = None
-    stabilization_row = None
-    max_checked = 0
-    length = n - 1
-    for k in range(1, n):
-        leader = int(row[0])
-        if leader != 1:
-            all_ones = False
-            first_failure = (k, leader)
-            break
-        max_checked = k
-        if k <= scan_depth and _is_stable(row, length):
-            stabilization_row = k
-            max_checked = n - 1
-            break
-        if k < n - 1:
-            row, spare = _derive_into(row, spare, length), row
-            length -= 1
-    return VerifyReport(
-        n=n,
-        method="frontier" if stabilization_row is not None else "naive",
-        all_ones=all_ones,
-        max_order_checked=max_checked,
-        first_failure=first_failure,
-        stabilization_row=stabilization_row,
-        elapsed=time.perf_counter() - start,
-    )
+    leader = int(row[0])
+    if leader != 1:
+        return _report(o, start, (1, leader), 0)
+    found = _scan_tiles(row, min(scan_depth, o.n - 1))
+    if found is None:
+        return _report(o, start, *_sweep(row))
+    first_failure, stabilization_row = found
+    max_checked = first_failure[0] - 1 if first_failure else o.n - 1
+    return _report(o, start, first_failure, max_checked, stabilization_row)
 
 
 @dataclass(frozen=True)

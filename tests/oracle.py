@@ -41,6 +41,25 @@ def leading_ones(terms):
     return True, None
 
 
+def frontier(terms, scan_depth):
+    """(first_failure, stabilization_row) of the frontier method, by definition.
+
+    Rows are derived one at a time; the scan stops at the first leader that
+    is not 1, or at the first row within ``scan_depth`` whose entries after
+    the leader are all 0 or 2.  Both are None when neither happens.
+    """
+    row = list(terms)
+    k = 0
+    while len(row) > 1:
+        row = [abs(row[i + 1] - row[i]) for i in range(len(row) - 1)]
+        k += 1
+        if row[0] != 1:
+            return (k, row[0]), None
+        if k <= scan_depth and all(v in (0, 2) for v in row[1:]):
+            return None, k
+    return None, None
+
+
 def first_primes(count):
     """The first `count` primes by incremental trial division."""
     primes = []

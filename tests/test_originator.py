@@ -22,6 +22,7 @@ from gapcircuit import (
     random_generalized,
     render_sequence,
 )
+from gapcircuit import sieve
 from gapcircuit.sieve import BUDGET_ENV_VAR, sieve_budget_bytes
 
 I64_MAX = (1 << 63) - 1
@@ -33,6 +34,29 @@ class TestOriginatorType:
         assert o.terms.dtype == np.int64
         with pytest.raises(ValueError):
             o.terms[0] = 9
+
+    def test_read_only_owner_not_copied(self):
+        values = np.array([2, 3, 5, 7], dtype=np.int64)
+        values.setflags(write=False)
+        assert Originator(values).terms is values
+        primes = sieve.first_n_primes_array(100)
+        assert Originator(primes).terms is primes
+
+    def test_writable_array_copied(self):
+        values = np.array([2, 3, 5, 7], dtype=np.int64)
+        o = Originator(values)
+        assert not np.shares_memory(o.terms, values)
+        values[0] = 99
+        assert list(o) == [2, 3, 5, 7]
+
+    def test_read_only_view_of_writable_base_copied(self):
+        base = np.array([1, 2, 3, 5, 7, 11], dtype=np.int64)
+        view = base[1:5]
+        view.setflags(write=False)
+        o = Originator(view)
+        assert not np.shares_memory(o.terms, base)
+        base[1] = 99
+        assert list(o) == [2, 3, 5, 7]
 
     def test_empty_rejected(self):
         with pytest.raises(RangeError):

@@ -1,8 +1,13 @@
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
+from gapcircuit import verifier
 from gapcircuit import (
     Originator,
     RandomModel,
@@ -128,6 +133,126 @@ class TestVerifyFrontier:
             assert naive.all_ones == fast.all_ones
             assert naive.first_failure == fast.first_failure
             assert naive.max_order_checked == fast.max_order_checked
+
+
+def _differential(terms, scan_depth=verifier.DEFAULT_SCAN_DEPTH):
+    """Frontier report checked against the oracle and the int64 sweep."""
+    o = Originator(terms)
+    fast = verify_frontier(o, scan_depth)
+    naive = verify_naive(o)
+    failure, stab = oracle.frontier(list(terms), scan_depth)
+    assert fast.first_failure == failure == naive.first_failure
+    assert fast.stabilization_row == stab
+    assert fast.method == ("frontier" if stab is not None else "naive")
+    assert fast.all_ones == naive.all_ones
+    assert fast.max_order_checked == naive.max_order_checked
+    if stab is None:
+        assert fast.to_json_dict(timing=False) == naive.to_json_dict(timing=False)
+    return fast
+
+
+def _with_row1_max(peak):
+    """400 prime-based terms whose first row peaks at exactly ``peak``, at column 299."""
+    primes = list(first_n_primes(400))
+    shift = peak - (primes[300] - primes[299])
+    return primes[:300] + [p + shift for p in primes[300:]]
+
+
+def _parity_flip(n, column):
+    """The first n primes with one term raised by 1: row ``column`` leads with an even value."""
+    terms = list(first_n_primes(n))
+    terms[column] += 1
+    return terms
+
+
+class TestTiledFrontier:
+    """The tiled narrow-dtype scan against the oracle and the int64 sweep."""
+
+    @pytest.mark.parametrize(
+        "peak, dtype",
+        [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)],
+    )
+    @pytest.mark.parametrize("tile", [64, verifier.TILE_COLUMNS])
+    def test_dtype_edges(self, monkeypatch, peak, dtype, tile):
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", tile)
+        terms = _with_row1_max(peak)
+        assert max(oracle.triangle_rows(terms)[0]) == peak
+        assert verifier._narrowest_dtype(peak) == dtype
+        _differential(terms)
+
+    def test_int64_edge(self):
+        assert verifier._narrowest_dtype(2**31 - 1) == np.int32
+        assert verifier._narrowest_dtype(2**31) == np.int64
+        _differential([2, 3, 5, 5 + 2**31, 7 + 2**31, 9 + 2**31, 13 + 2**31])
+
+    def test_failure_found_deep_in_tile_zero(self, monkeypatch):
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", 64)
+        r = _differential(_parity_flip(600, 400))
+        assert r.first_failure[0] == 400
+        assert r.first_failure[1] % 2 == 0
+
+    def test_failure_after_first_tile_stabilized(self, monkeypatch):
+        # tile 0 (columns 0..63 plus a halo of 50) settles within 50 rows; the
+        # tile holding column 400 never does, so the int64 sweep finds it
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", 64)
+        terms = _parity_flip(600, 400)
+        assert oracle.frontier(terms[:115], 50)[1] is not None
+        r = _differential(terms, scan_depth=50)
+        assert r.method == "naive"
+        assert r.first_failure[0] == 400
+
+    def test_certificate_decided_by_late_tile(self, monkeypatch):
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", 256)
+        primes = list(first_n_primes(3000))
+        terms = primes[:2500] + [p + 60 for p in primes[2500:]]
+        plain = verify_frontier(Originator(primes)).stabilization_row
+        r = _differential(terms)
+        assert r.method == "frontier"
+        assert r.stabilization_row > plain
+
+    @pytest.mark.parametrize("tile", [1, 3, 8, 64])
+    @pytest.mark.parametrize("scan_depth", [1, 5, 500])
+    def test_short_originators(self, monkeypatch, tile, scan_depth):
+        # n below one tile plus its halo, and depths beyond the tile width
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", tile)
+        primes = list(first_n_primes(60))
+        for n in range(2, 61):
+            _differential(primes[:n], scan_depth)
+            _differential(_parity_flip(n, n // 2), scan_depth)
+
+    def test_scan_depth_exhausted_matches_naive(self):
+        for terms, depth in (
+            (list(first_n_primes(300)), 3),
+            (_parity_flip(300, 200), 20),
+        ):
+            r = _differential(terms, scan_depth=depth)
+            assert r.method == "naive"
+
+    @given(
+        first=st.integers(0, 50),
+        gaps=st.lists(st.sampled_from([0, 2, 2, 4, 6]), max_size=60),
+        bumps=st.lists(
+            st.tuples(
+                st.integers(0, 61),
+                st.one_of(
+                    st.integers(-3, 3), st.integers(0, 300), st.integers(0, 2**40)
+                ),
+            ),
+            max_size=3,
+        ),
+        tile=st.integers(1, 7),
+        scan_depth=st.integers(1, 70),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_small_tiles(self, first, gaps, bumps, tile, scan_depth):
+        # prime-like even gaps after a leading gap of 1, with a few terms
+        # bumped: most draws get past row 1, many reach a certificate
+        terms = np.cumsum([first, 1, *gaps]).tolist()
+        for index, bump in bumps:
+            if index < len(terms):
+                terms[index] += bump
+        with mock.patch.object(verifier, "TILE_COLUMNS", tile):
+            _differential(terms, scan_depth)
 
 
 class TestSearch:
