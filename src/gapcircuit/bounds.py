@@ -52,12 +52,12 @@ class BoundReport:
         return payload
 
 
-def _require_order(c: Circuit, k: int, hi: int) -> None:
+def _require_order(k: int, hi: int) -> None:
     if not 1 <= k <= hi:
         raise RangeError(f"order must be in [1, {hi}], got {k}")
 
 
-def _require_segment(c: Circuit, s: int, hi: int) -> None:
+def _require_segment(s: int, hi: int) -> None:
     if not 1 <= s <= hi:
         raise RangeError(f"segment index must be in [1, {hi}], got {s}")
 
@@ -76,6 +76,12 @@ def _row_max(c: Circuit, k: int) -> int:
 
 def _row_length(c: Circuit, k: int) -> int:
     return _checked_sum(c.row(k), "path length")
+
+
+def _sandwich_terms(c: Circuit) -> tuple[int, list[int]]:
+    """The lower bound and the per-row maxima shared by both sandwich checks."""
+    lower = (c.n - 2) * min(_edge_gap(c, k) for k in range(1, c.n - 1))
+    return lower, [_row_max(c, k) for k in range(1, c.n)]
 
 
 def _panel_integral(maxima: list[int]) -> int:
@@ -99,7 +105,7 @@ def check_length_bounds(c: Circuit, k: int) -> BoundReport:
     lower = |edge gap of row k-1|, upper = (n-k) * max delta of row k-1;
     holds iff lower <= length <= upper.
     """
-    _require_order(c, k, c.n - 1)
+    _require_order(k, c.n - 1)
     lower = _edge_gap(c, k)
     upper = (c.n - k) * _row_max(c, k)
     length = _row_length(c, k)
@@ -119,7 +125,7 @@ def check_small_segment_existence(c: Circuit, k: int, cap: int) -> BoundReport:
     The hypothesis (max delta of row k-1 <= cap) is recorded as the
     precondition; the witness is the first 1-based m with d_m <= cap.
     """
-    _require_order(c, k, c.n - 1)
+    _require_order(k, c.n - 1)
     if cap < 1:
         raise RangeError(f"cap must be positive, got {cap}")
     row = c.row(k)
@@ -148,7 +154,7 @@ def check_monotone_length_decrease(c: Circuit, k: int) -> BoundReport:
     what ``holds`` reports; the non-strict variant is recorded separately in
     ``extra`` because all-zero rows can only achieve equality.
     """
-    _require_order(c, k, c.n - 2)
+    _require_order(k, c.n - 2)
     t = c.n - k
     row_k = c.row(k)
     row_next = c.row(k + 1)
@@ -177,8 +183,7 @@ def check_circuit_bounds(c: Circuit) -> BoundReport:
     n = c.n
     if n < 3:
         raise RangeError(f"circuit bounds need at least three terms, got {n}")
-    lower = (n - 2) * min(_edge_gap(c, k) for k in range(1, n - 1))
-    maxima = [_row_max(c, k) for k in range(1, n)]
+    lower, maxima = _sandwich_terms(c)
     upper = sum(maxima) + _panel_integral(maxima)
     kappa = circuit_length(c)
     return BoundReport(
@@ -198,7 +203,7 @@ def check_trace_recurrence(c: Circuit, s: int) -> BoundReport:
     holds iff lhs >= rhs.
     """
     n = c.n
-    _require_segment(c, s, n - 2)
+    _require_segment(s, n - 2)
     a = c.originator.terms
     lhs = 2 * trace(c, s)
     rhs = (int(a[s]) - int(a[s - 1])) + c.segment(s, n - s) + trace(c, s + 1)
@@ -223,8 +228,7 @@ def check_average_trace_bound(c: Circuit) -> BoundReport:
     n = c.n
     if n < 3:
         raise RangeError(f"average trace bound needs at least three terms, got {n}")
-    lower = (n - 2) * min(_edge_gap(c, k) for k in range(1, n - 1))
-    maxima = [_row_max(c, k) for k in range(1, n)]
+    lower, maxima = _sandwich_terms(c)
     upper = (n - 1) * max(maxima) + _panel_integral(maxima)
     tau = traces(c)
     middle = sum(tau)
@@ -273,22 +277,19 @@ def check_zero_existence(c: Circuit, s: int) -> BoundReport:
     d_s = 0; the witness is the smallest such t.
     """
     n = c.n
-    _require_segment(c, s, n - 1)
+    _require_segment(s, n - 1)
     tau = trace(c, s)
-    column_min = None
+    column = c.column(s)
+    # Rows 1.. hold no negative segment, so a zero is the column minimum.
+    smallest = int(column.min())
     witnesses: tuple[tuple[int, int], ...] = ()
-    for t in range(1, n - s + 1):
-        value = int(c.row(t)[s - 1])
-        if column_min is None or value < column_min:
-            column_min = value
-        if value == 0:
-            witnesses = ((t, 0),)
-            break
+    if smallest == 0:
+        witnesses = ((int(column.argmin()) + 1, 0),)
     return BoundReport(
         name=f"zero_existence(s={s})",
-        lhs=column_min if column_min is not None else 0,
+        lhs=smallest,
         rhs=0,
-        holds=bool(witnesses),
+        holds=smallest == 0,
         precondition_met=tau < n - s,
         witnesses=witnesses,
     )
@@ -303,14 +304,14 @@ def check_strong_gilbreath(c: Circuit) -> BoundReport:
     precondition with a failing conclusion marks an internal inconsistency.
     """
     n = c.n
-    leaders = [int(c.row(k)[0]) for k in range(1, n)]
+    leaders = c.column(1)
     tau_1 = trace(c, 1)
-    precondition = all(v > 0 for v in leaders) and tau_1 == n - 1
-    holds = all(v == 1 for v in leaders)
+    precondition = bool((leaders > 0).all()) and tau_1 == n - 1
+    holds = bool((leaders == 1).all())
     witnesses: tuple[tuple[int, int], ...] = ()
     if not holds:
-        k_bad = next(k for k, v in enumerate(leaders, start=1) if v != 1)
-        witnesses = ((k_bad, leaders[k_bad - 1]),)
+        k_bad = int((leaders != 1).argmax()) + 1
+        witnesses = ((k_bad, int(leaders[k_bad - 1])),)
     extra = None
     if precondition and not holds:
         extra = {"internal_inconsistency": True}

@@ -26,6 +26,8 @@ I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
 
 _U64_MASK = (1 << 64) - 1
+# Draws computed at once by random_generalized; bounds its temporaries.
+_DRAW_BLOCK = 1 << 16
 _INT_TOKEN_RE = re.compile(r"[+-]?[0-9]+")
 _TOKEN_RE = re.compile(r"[^\s,]+")
 
@@ -115,9 +117,11 @@ class RandomModel:
     def __post_init__(self):
         if self.n < 1:
             raise RangeError(f"model length must be at least 1, got {self.n}")
-        if self.g_max < 2 or self.g_max % 2 != 0:
+        # The bound keeps 1 + g_max, the largest second term, inside int64.
+        if not 2 <= self.g_max <= I64_MAX - 1 or self.g_max % 2 != 0:
             raise RangeError(
-                f"maximum gap must be a positive even integer, got {self.g_max}"
+                f"maximum gap must be an even integer in [2, {I64_MAX - 1}], "
+                f"got {self.g_max}"
             )
         if not 0 <= self.seed <= _U64_MASK:
             raise RangeError(f"seed must fit in 64 unsigned bits, got {self.seed}")
@@ -133,26 +137,22 @@ def primes_up_to(limit: int, *, budget_bytes: int | None = None) -> Originator:
     return Originator(sieve.primes_up_to_array(limit, budget_bytes=budget_bytes))
 
 
-class _SplitMix64:
-    """SplitMix64: tiny, stable, platform-independent 64-bit generator."""
+def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws start .. start+count-1 of the random stream on ``seed``, as uint64.
 
-    def __init__(self, seed: int):
-        self._state = seed & _U64_MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64_MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
-        return z ^ (z >> 33)
-
-    def below(self, count: int) -> int:
-        """Exactly uniform draw from [0, count) by rejection."""
-        threshold = ((1 << 64) // count) * count
-        while True:
-            v = self.next_u64()
-            if v < threshold:
-                return v % count
+    Draw i is SplitMix64's mix of the state seed + (i+1) * gamma mod 2^64, but
+    with a last xor-shift of 33, not 31: seed 0 starts 0xe220a838ce4cc9c2, not
+    the published 0xe220a8397b1dcdaf.  ``search`` output depends on it.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed & _U64_MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(33)
+    return z
 
 
 def random_generalized(model: RandomModel) -> Originator:
@@ -168,11 +168,17 @@ def random_generalized(model: RandomModel) -> Originator:
         raise Int64OverflowError(
             f"a sequence of {model.n} terms cannot fit in signed 64-bit integers"
         )
-    rng = _SplitMix64(model.seed)
     half = model.g_max // 2
+    # Draws above top, the end of the last whole cycle mod half, are skipped.
+    top = ((1 << 64) // half) * half - 1
     gaps = np.empty(model.n - 1, dtype=np.int64)
-    for i in range(model.n - 1):
-        gaps[i] = 2 * (1 + rng.below(half))
+    filled = drawn = 0
+    while filled < gaps.size:
+        block = _splitmix64(model.seed, drawn, min(gaps.size - filled, _DRAW_BLOCK))
+        drawn += block.size
+        block = block[block <= np.uint64(top)]
+        gaps[filled : filled + block.size] = 2 * (1 + block % np.uint64(half))
+        filled += block.size
     # Terms increase, so the last one is the largest; bound it before cumsum.
     if 1 + (model.n - 1) * model.g_max > I64_MAX:
         exact_last = 1 + int(gaps.sum(dtype=object))

@@ -143,15 +143,18 @@ class Circuit:
 
     Rows live in a single contiguous triangular buffer of n(n-1)/2 segments;
     row k holds exactly n-k segments and is the absolute difference of row
-    k-1.  Immutable after construction and safe to share across threads.
+    k-1; rows are slices of it and columns gather through the row offsets.
+    Immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("originator", "_flat", "_rows")
+    __slots__ = ("originator", "_flat", "_starts")
 
-    def __init__(self, originator: Originator, flat: np.ndarray, rows: list[np.ndarray]):
+    def __init__(self, originator: Originator, flat: np.ndarray):
         self.originator = originator
         self._flat = flat
-        self._rows = rows
+        # Row k spans [starts[k-1], starts[k]); rows 1..k-1 hold (k-1)n - (k-1)k/2.
+        before = np.arange(originator.n, dtype=np.int64)
+        self._starts = before * originator.n - before * (before + 1) // 2
 
     @property
     def n(self) -> int:
@@ -167,12 +170,18 @@ class Circuit:
             return self.originator.terms
         if not 1 <= k <= self.n - 1:
             raise RangeError(f"row order must be in [0, {self.n - 1}], got {k}")
-        return self._rows[k - 1]
+        return self._flat[self._starts[k - 1] : self._starts[k]]
+
+    def column(self, s: int) -> np.ndarray:
+        """New array of segment s of rows 1..n-s, in order of the row."""
+        if not 1 <= s <= self.n - 1:
+            raise RangeError(f"segment index must be in [1, {self.n - 1}], got {s}")
+        return self._flat[self._starts[: self.n - s] + (s - 1)]
 
     def path(self, k: int) -> Path:
         if not 1 <= k <= self.n - 1:
             raise RangeError(f"path order must be in [1, {self.n - 1}], got {k}")
-        return Path(order=k, segments=self._rows[k - 1])
+        return Path(order=k, segments=self.row(k))
 
     def segment(self, s: int, k: int) -> int:
         """The value d at 1-based segment s of the order-k row."""
@@ -204,12 +213,7 @@ def build_circuit(o: Originator) -> Circuit:
         prev = cur
         offset += m
     flat.setflags(write=False)
-    rows = []
-    offset = 0
-    for k in range(1, n):
-        rows.append(flat[offset : offset + n - k])
-        offset += n - k
-    return Circuit(o, flat, rows)
+    return Circuit(o, flat)
 
 
 def path_length(p: Path) -> int:
@@ -229,18 +233,7 @@ def circuit_length(c: Circuit) -> int:
 
 def trace(c: Circuit, s: int) -> int:
     """Sum of segment s down all rows that reach it: rows 1..n-s."""
-    n = c.n
-    if not 1 <= s <= n - 1:
-        raise RangeError(f"segment index must be in [1, {n - 1}], got {s}")
-    total = 0
-    for k in range(1, n - s + 1):
-        total += int(c.row(k)[s - 1])
-    if total > I64_MAX:
-        raise Int64OverflowError(
-            f"trace {total} exceeds the signed 64-bit range; "
-            f"use a smaller or flatter originator"
-        )
-    return total
+    return _checked_sum(c.column(s), "trace")
 
 
 def traces(c: Circuit) -> list[int]:

@@ -35,7 +35,7 @@ from .errors import RangeError
 from .originator import (
     Originator,
     RandomModel,
-    _SplitMix64,
+    _splitmix64,
     dump_sequence,
     random_generalized,
 )
@@ -291,8 +291,8 @@ def search_counterexamples(
 ) -> SearchReport:
     """Run ``trials`` independent verifications on sequences from the model.
 
-    Each trial draws its own sequence seed from a SplitMix64 stream on
-    ``seed``, so a report is reproducible from (model shape, trials, seed)
+    Trial t takes draw t-1 of the random stream on ``seed`` as its sequence
+    seed, so a report is reproducible from (model shape, trials, seed)
     alone; the seed inside ``model`` is not consulted.  With ``dump_dir``
     set, the kept failing sequences are also written there as sequence
     files named ``<trial seed>.txt``.
@@ -302,12 +302,11 @@ def search_counterexamples(
         raise RangeError(f"trial count must be at least 1, got {trials}")
     if not 0 <= seed < (1 << 64):
         raise RangeError(f"seed must fit in 64 unsigned bits, got {seed}")
-    stream = _SplitMix64(seed)
     failures = 0
     orders: dict[int, int] = {}
     examples: list[FailingCase] = []
     for trial in range(1, trials + 1):
-        trial_seed = stream.next_u64()
+        trial_seed = int(_splitmix64(seed, trial - 1, 1)[0])
         o = random_generalized(RandomModel(model.n, model.g_max, trial_seed))
         report = verify_frontier(o, scan_depth)
         if report.all_ones:

@@ -24,9 +24,14 @@ def kappa(terms):
     return sum(sum(row) for row in triangle_rows(terms))
 
 
+def column(terms, s):
+    """The s-th (1-based) entry of every row long enough, top row first."""
+    return [row[s - 1] for row in triangle_rows(terms) if len(row) >= s]
+
+
 def tau(terms, s):
     """Column sum: the s-th (1-based) entry of every row long enough."""
-    return sum(row[s - 1] for row in triangle_rows(terms) if len(row) >= s)
+    return sum(column(terms, s))
 
 
 def all_taus(terms):
@@ -104,3 +109,41 @@ def panel_integral(terms):
         for s in range(1, u + 1):
             total += maxima[s - 1]
     return total
+
+
+_U64_MASK = (1 << 64) - 1
+
+
+class SplitMix64:
+    """The package's random stream, one draw at a time.
+
+    SplitMix64's mix except for the last xor-shift, which is 33 here and 31
+    in the published generator.
+    """
+
+    def __init__(self, seed):
+        self._state = seed & _U64_MASK
+
+    def next_u64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64_MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
+        return z ^ (z >> 33)
+
+    def below(self, count):
+        """Exactly uniform draw from [0, count) by rejection."""
+        threshold = ((1 << 64) // count) * count
+        while True:
+            v = self.next_u64()
+            if v < threshold:
+                return v % count
+
+
+def random_generalized(n, g_max, seed):
+    """Terms of the even-gap random model: start at 1, draw each gap in turn."""
+    rng = SplitMix64(seed)
+    terms = [1]
+    for _ in range(n - 1):
+        terms.append(terms[-1] + 2 * (1 + rng.below(g_max // 2)))
+    return terms

@@ -253,6 +253,23 @@ class TestZeroExistence:
         assert int(c.row(t)[0]) == 0
         assert all(int(c.row(u)[0]) != 0 for u in range(1, t))
 
+    @given(st.lists(st.integers(-6, 6), min_size=2, max_size=25))
+    @settings(max_examples=80)
+    def test_matches_oracle_column(self, terms):
+        c = build_circuit(Originator(terms))
+        for s in range(1, c.n):
+            column = oracle.column(terms, s)
+            r = check_zero_existence(c, s)
+            if 0 in column:
+                t = column.index(0) + 1
+                assert r.witnesses == ((t, 0),)
+                assert r.lhs == min(column[:t]) == 0
+            else:
+                assert r.witnesses == ()
+                assert r.lhs == min(column)
+            assert r.holds == (0 in column)
+            assert r.precondition_met == (sum(column) < len(column))
+
 
 class TestStrongGilbreath:
     def test_primes(self):
@@ -269,6 +286,16 @@ class TestStrongGilbreath:
         r = check_strong_gilbreath(build_circuit(Originator([0, 2])))
         assert not r.precondition_met
         assert r.witnesses == ((1, 2),)
+
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=25))
+    @settings(max_examples=80)
+    def test_matches_oracle_leaders(self, terms):
+        leaders = oracle.column(terms, 1)
+        r = check_strong_gilbreath(build_circuit(Originator(terms)))
+        bad = [(k, v) for k, v in enumerate(leaders, start=1) if v != 1]
+        assert r.holds == (not bad)
+        assert r.witnesses == tuple(bad[:1])
+        assert r.precondition_met == (min(leaders) > 0 and sum(leaders) == len(leaders))
 
     def test_never_inconsistent_on_random_inputs(self):
         for seed in range(200):

@@ -218,6 +218,13 @@ class TestSearchCommand:
         assert code == 2
         assert "even" in err
 
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    @pytest.mark.parametrize("g_max", [2**63, 2**64, 2**66])
+    def test_gmax_beyond_int64_rejected(self, capsys, command, g_max):
+        code, _, err = run_cli(capsys, command, "--n", "3", "--gmax", str(g_max))
+        assert code == 2
+        assert "maximum gap" in err
+
     def test_dump_dir(self, capsys, tmp_path):
         target = tmp_path / "dumps"
         code, out, _ = run_cli(

@@ -22,10 +22,20 @@ from gapcircuit import (
     random_generalized,
     render_sequence,
 )
-from gapcircuit import sieve
+from gapcircuit import originator, sieve
 from gapcircuit.sieve import BUDGET_ENV_VAR, sieve_budget_bytes
 
 I64_MAX = (1 << 63) - 1
+
+
+def assert_model_matches_reference(n, g_max, seed):
+    expected = oracle.random_generalized(n, g_max, seed)
+    model = RandomModel(n, g_max, seed)
+    if expected[-1] > I64_MAX:
+        with pytest.raises(Int64OverflowError):
+            random_generalized(model)
+    else:
+        assert list(random_generalized(model)) == expected
 
 
 class TestOriginatorType:
@@ -185,11 +195,52 @@ class TestRandomGeneralized:
             assert (b - a) % 2 == 0
             assert b - a <= g_max
 
+    def test_largest_gap_draws(self):
+        for seed in range(50):
+            assert_model_matches_reference(2, 2**63 - 2, seed)
+
+    @pytest.mark.parametrize("g_max", [2**63, 2**64, 2**66])
+    def test_gap_beyond_int64_rejected(self, g_max):
+        with pytest.raises(RangeError):
+            RandomModel(2, g_max, 0)
+
     def test_overflow_rejected(self):
         # n - 1 gaps of at least 2 starting from 1 cannot stay in 64 bits here
         huge = RandomModel(2**62 + 2, 4, 1)
         with pytest.raises(Int64OverflowError):
             random_generalized(huge)
+
+
+
+class TestRandomStream:
+    def test_seed_zero_pinned(self):
+        assert originator._splitmix64(0, 0, 3).tolist() == [
+            0xE220A838CE4CC9C2,
+            0x6E789E6A4A741615,
+            0x06C45D188EE3D1F2,
+        ]
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 200), st.integers(0, 200))
+    @settings(max_examples=60)
+    def test_stretch_matches_scalar_reference(self, seed, start, count):
+        rng = oracle.SplitMix64(seed)
+        expected = [rng.next_u64() for _ in range(start + count)][start:]
+        assert originator._splitmix64(seed, start, count).tolist() == expected
+
+    @given(st.integers(1, 80), st.integers(1, 2**62 - 1), st.integers(0, 2**64 - 1))
+    @settings(max_examples=200)
+    def test_model_matches_scalar_reference(self, n, half_gap, seed):
+        assert_model_matches_reference(n, 2 * half_gap, seed)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
+    def test_rejections_match_scalar_reference(self, monkeypatch, block):
+        # 2^64 // (g_max / 2) is 4, so about a fifth of all draws are skipped.
+        monkeypatch.setattr(originator, "_DRAW_BLOCK", block)
+        for seed in range(600):
+            assert_model_matches_reference(2 + seed % 3, 2 * (2**64 // 5 + 1), seed)
+
+    def test_long_model_crosses_draw_blocks(self):
+        assert_model_matches_reference(3 * (1 << 16) + 5, 100, 5)
 
 
 class TestSequenceText:

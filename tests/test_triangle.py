@@ -183,6 +183,22 @@ class TestCircuit:
         assert [c.row(k).tolist() for k in range(1, c.n)] == oracle.triangle_rows(terms)
 
     @given(terms_strategy)
+    @settings(max_examples=80)
+    def test_columns_match_oracle(self, terms):
+        c = build_circuit(Originator(terms))
+        for s in range(1, c.n):
+            assert c.column(s).tolist() == oracle.column(terms, s)
+            assert trace(c, s) == oracle.tau(terms, s)
+
+    def test_column_index_out_of_range(self):
+        c = build_circuit(PRIMES5)
+        assert c.column(4).tolist() == [4]
+        with pytest.raises(RangeError):
+            c.column(0)
+        with pytest.raises(RangeError):
+            c.column(5)
+
+    @given(terms_strategy)
     @settings(max_examples=40)
     def test_truncation_consistency(self, terms):
         # the triangle of a prefix is the prefix of the triangle
@@ -236,6 +252,21 @@ class TestStatistics:
         c = build_circuit(o)
         with pytest.raises(Int64OverflowError):
             circuit_length(c)
+
+    def test_trace_overflow(self):
+        # Column 1 is 2^62, 0, 2^62; column 3 is a single 0.
+        c = build_circuit(Originator([0, 2**62, 0, 0]))
+        message = (
+            f"trace {2**63} exceeds the signed 64-bit range; "
+            f"use a smaller or flatter originator"
+        )
+        with pytest.raises(Int64OverflowError) as exc:
+            trace(c, 1)
+        assert str(exc.value) == message
+        with pytest.raises(Int64OverflowError) as exc:
+            traces(c)
+        assert str(exc.value) == message
+        assert trace(c, 3) == 0
 
     def test_path_length_overflow(self):
         big = (1 << 62) - 1

@@ -308,6 +308,15 @@ class TestSearch:
             dumped = load_sequence(target / f"{case.seed}.txt")
             assert tuple(int(t) for t in dumped.terms) == case.terms
 
+    def test_trial_seeds_follow_the_stream(self, monkeypatch):
+        monkeypatch.setattr(verifier, "KEPT_FAILURES", 30)
+        report = search_counterexamples(RandomModel(6, 4, 0), trials=30, seed=2**64 - 1)
+        rng = oracle.SplitMix64(2**64 - 1)
+        seeds = [rng.next_u64() for _ in range(30)]
+        assert [case.seed for case in report.examples] == seeds
+        for case in report.examples:
+            assert list(case.terms) == oracle.random_generalized(6, 4, case.seed)
+
     def test_scan_depth_forwarded(self):
         report = search_counterexamples(
             RandomModel(10, 4, 0), trials=3, seed=5, scan_depth=7
