@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import RangeError
-from .triangle import Circuit, _checked_sum, circuit_length, trace, traces
+from .triangle import Circuit, _fit, _require_segment, circuit_length, trace, traces
 
 
 @dataclass(frozen=True)
@@ -57,31 +57,20 @@ def _require_order(k: int, hi: int) -> None:
         raise RangeError(f"order must be in [1, {hi}], got {k}")
 
 
-def _require_segment(s: int, hi: int) -> None:
-    if not 1 <= s <= hi:
-        raise RangeError(f"segment index must be in [1, {hi}], got {s}")
-
-
 def _edge_gap(c: Circuit, k: int) -> int:
     """|last-reachable minus first segment| of row k-1: the lower-bound seed."""
     prev = c.row(k - 1)
     return abs(int(prev[c.n - k - 1]) - int(prev[0]))
 
 
-def _row_max(c: Circuit, k: int) -> int:
-    # The absolute consecutive differences of row k-1 are, by construction,
-    # exactly row k; its maximum is the delta bound M_k.
-    return int(c.row(k).max())
-
-
 def _row_length(c: Circuit, k: int) -> int:
-    return _checked_sum(c.row(k), "path length")
+    return _fit(c._tally().row_sums[k - 1], "path length")
 
 
 def _sandwich_terms(c: Circuit) -> tuple[int, list[int]]:
-    """The lower bound and the per-row maxima shared by both sandwich checks."""
+    """Both sandwich checks' lower bound and row maxima (M_k = max delta of row k-1)."""
     lower = (c.n - 2) * min(_edge_gap(c, k) for k in range(1, c.n - 1))
-    return lower, [_row_max(c, k) for k in range(1, c.n)]
+    return lower, c._tally().row_maxima
 
 
 def _panel_integral(maxima: list[int]) -> int:
@@ -107,7 +96,7 @@ def check_length_bounds(c: Circuit, k: int) -> BoundReport:
     """
     _require_order(k, c.n - 1)
     lower = _edge_gap(c, k)
-    upper = (c.n - k) * _row_max(c, k)
+    upper = (c.n - k) * c._tally().row_maxima[k - 1]
     length = _row_length(c, k)
     return BoundReport(
         name=f"length_bounds(k={k})",
@@ -129,7 +118,7 @@ def check_small_segment_existence(c: Circuit, k: int, cap: int) -> BoundReport:
     if cap < 1:
         raise RangeError(f"cap must be positive, got {cap}")
     row = c.row(k)
-    precondition = _row_max(c, k) <= cap
+    precondition = c._tally().row_maxima[k - 1] <= cap
     smallest = int(row.min())
     witnesses: tuple[tuple[int, int], ...] = ()
     if smallest <= cap:
@@ -346,11 +335,12 @@ def run_all_checks(c: Circuit) -> list[BoundReport]:
     hypothesis is satisfiable on every row including all-zero ones.
     """
     n = c.n
+    maxima = c._tally().row_maxima
     reports: list[BoundReport] = []
     for k in range(1, n):
         reports.append(check_length_bounds(c, k))
     for k in range(1, n):
-        reports.append(check_small_segment_existence(c, k, max(_row_max(c, k), 1)))
+        reports.append(check_small_segment_existence(c, k, max(maxima[k - 1], 1)))
     for k in range(1, n - 1):
         reports.append(check_monotone_length_decrease(c, k))
     if n >= 3:

@@ -6,19 +6,25 @@ sequence of n terms yields the order-k path with n-k segments; the family of
 all such paths for orders 1..n-1 is the circuit, stored as one triangular
 buffer.  Indices in the public API are 1-based: segment s of order k is the
 value at row k, column s.
+
+Statistics are read from one cached tally of the rows, whose sums add 31-bit
+limbs: exact for any int64 input, they raise only when read outside int64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import Int64OverflowError, RangeError
 from .originator import I64_MAX, I64_MIN, Originator, _coerce_terms
 
-# |x - y| of two int64 values both within this magnitude still fits in int64.
-_SAFE_DIFF_MAGNITUDE = (1 << 62) - 1
+# Sums split each entry x into x >> 31 (below 2^32 in magnitude) and
+# x & (2^31 - 1); fewer than 2^31 values of either limb sum inside int64.
+_LIMB_BITS = 31
+_LOW_MASK = (1 << _LIMB_BITS) - 1
 
 
 def _abs_diff_checked(values: np.ndarray) -> np.ndarray:
@@ -29,33 +35,34 @@ def _abs_diff_checked(values: np.ndarray) -> np.ndarray:
     """
     if values.size < 2:
         raise RangeError("cannot derive from fewer than two values")
-    hi = int(values.max())
-    lo = int(values.min())
-    if max(abs(hi), abs(lo)) <= _SAFE_DIFF_MAGNITUDE:
-        out = values[1:] - values[:-1]
-        np.abs(out, out=out)
-        return out
-    diffs = []
-    for i in range(values.size - 1):
-        d = abs(int(values[i + 1]) - int(values[i]))
-        if d > I64_MAX:
+    out = values[1:] - values[:-1]
+    if int(values.max()) - int(values.min()) > I64_MAX:
+        # A wrapped difference has the wrong sign; -2^63 has no absolute value.
+        bad = ((out < 0) != (values[1:] < values[:-1])) | (out == I64_MIN)
+        if bad.any():
+            i = int(bad.argmax())
             raise Int64OverflowError(
                 f"segment |{int(values[i + 1])} - {int(values[i])}| does not fit "
                 f"in a signed 64-bit integer"
             )
-        diffs.append(d)
-    return np.array(diffs, dtype=np.int64)
+    np.abs(out, out=out)
+    return out
 
 
-def _checked_sum(values: np.ndarray, what: str) -> int:
-    """Exact integer sum with an explicit error instead of silent int64 wrap."""
-    if values.size == 0:
-        return 0
-    hi = int(values.max())
-    lo = int(values.min())
-    if values.size * max(abs(hi), abs(lo)) <= I64_MAX:
-        return int(values.sum())
-    total = int(values.sum(dtype=object))
+def _derive_into(row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One derivation step of a nonnegative row, written into ``out``."""
+    np.subtract(row[1:], row[:-1], out=out)
+    np.abs(out, out=out)
+    return out
+
+
+def _require_segment(s: int, hi: int) -> None:
+    if not 1 <= s <= hi:
+        raise RangeError(f"segment index must be in [1, {hi}], got {s}")
+
+
+def _fit(total: int, what: str) -> int:
+    """The total itself, or an explicit error where int64 would wrap."""
     if not I64_MIN <= total <= I64_MAX:
         raise Int64OverflowError(
             f"{what} {total} exceeds the signed 64-bit range; "
@@ -121,8 +128,7 @@ def derive(p: Path) -> Path:
     if p.order == 0:
         segments = _abs_diff_checked(p.segments)
     else:
-        segments = p.segments[1:] - p.segments[:-1]
-        np.abs(segments, out=segments)
+        segments = _derive_into(p.segments, np.empty(p.steps - 1, dtype=np.int64))
     return Path(order=p.order + 1, segments=segments)
 
 
@@ -132,10 +138,16 @@ def path_of_order(o: Originator, k: int) -> Path:
         raise RangeError(f"order must be in [1, {o.n - 1}], got {k}")
     row = _abs_diff_checked(o.terms)
     for _ in range(k - 1):
-        out = row[1:] - row[:-1]
-        np.abs(out, out=out)
-        row = out
+        row = _derive_into(row, np.empty(row.size - 1, dtype=np.int64))
     return Path(order=k, segments=row)
+
+
+class _Tally(NamedTuple):
+    """Exact, unchecked totals: entry k-1 is row k's, entry s-1 column s's."""
+
+    row_sums: list[int]
+    row_maxima: list[int]
+    traces: list[int]
 
 
 class Circuit:
@@ -144,10 +156,11 @@ class Circuit:
     Rows live in a single contiguous triangular buffer of n(n-1)/2 segments;
     row k holds exactly n-k segments and is the absolute difference of row
     k-1; rows are slices of it and columns gather through the row offsets.
-    Immutable after construction and safe to share across threads.
+    Immutable after construction apart from the cached tally, and safe to
+    share across threads: threads that race to fill it compute the same one.
     """
 
-    __slots__ = ("originator", "_flat", "_starts")
+    __slots__ = ("originator", "_flat", "_starts", "_cached_tally")
 
     def __init__(self, originator: Originator, flat: np.ndarray):
         self.originator = originator
@@ -155,6 +168,28 @@ class Circuit:
         # Row k spans [starts[k-1], starts[k]); rows 1..k-1 hold (k-1)n - (k-1)k/2.
         before = np.arange(originator.n, dtype=np.int64)
         self._starts = before * originator.n - before * (before + 1) // 2
+        self._cached_tally: _Tally | None = None
+
+    def _tally(self) -> _Tally:
+        """Row sums, row maxima and traces, from one pass over rows 1..n-1."""
+        if self._cached_tally is None:
+            n = self.n
+            # Row 0 of each pair holds the high limbs, row 1 the low limbs.
+            limbs = np.empty((2, n - 1), dtype=np.int64)
+            columns = np.zeros((2, n - 1), dtype=np.int64)
+            row_sums, row_maxima = [], []
+            for k in range(1, n):
+                row = self.row(k)
+                pair = limbs[:, : n - k]
+                np.right_shift(row, _LIMB_BITS, out=pair[0])
+                np.bitwise_and(row, _LOW_MASK, out=pair[1])
+                high, low = pair.sum(axis=1).tolist()
+                row_sums.append((high << _LIMB_BITS) + low)
+                row_maxima.append(int(row.max()))
+                columns[:, : n - k] += pair
+            traces = [(high << _LIMB_BITS) + low for high, low in zip(*columns.tolist())]
+            self._cached_tally = _Tally(row_sums, row_maxima, traces)
+        return self._cached_tally
 
     @property
     def n(self) -> int:
@@ -174,8 +209,7 @@ class Circuit:
 
     def column(self, s: int) -> np.ndarray:
         """New array of segment s of rows 1..n-s, in order of the row."""
-        if not 1 <= s <= self.n - 1:
-            raise RangeError(f"segment index must be in [1, {self.n - 1}], got {s}")
+        _require_segment(s, self.n - 1)
         return self._flat[self._starts[: self.n - s] + (s - 1)]
 
     def path(self, k: int) -> Path:
@@ -202,50 +236,39 @@ def build_circuit(o: Originator) -> Circuit:
     if n < 2:
         raise RangeError(f"a circuit needs at least two terms, got {n}")
     flat = np.empty(n * (n - 1) // 2, dtype=np.int64)
+    c = Circuit(o, flat)
     flat[: n - 1] = _abs_diff_checked(o.terms)
-    offset = n - 1
-    prev = flat[: n - 1]
     for k in range(2, n):
-        m = n - k
-        cur = flat[offset : offset + m]
-        np.subtract(prev[1:], prev[:-1], out=cur)
-        np.abs(cur, out=cur)
-        prev = cur
-        offset += m
+        _derive_into(c.row(k - 1), c.row(k))
     flat.setflags(write=False)
-    return Circuit(o, flat)
+    return c
 
 
 def path_length(p: Path) -> int:
     """Sum of the path's segments."""
-    return _checked_sum(p.segments, "path length")
+    high = int((p.segments >> _LIMB_BITS).sum())
+    return _fit((high << _LIMB_BITS) + int((p.segments & _LOW_MASK).sum()), "path length")
 
 
 def path_lengths(c: Circuit) -> list[int]:
     """Length of every row at once: entry k-1 is the order-k path length."""
-    return [_checked_sum(c.row(k), "path length") for k in range(1, c.n)]
+    return [_fit(total, "path length") for total in c._tally().row_sums]
 
 
 def circuit_length(c: Circuit) -> int:
     """Sum of all path lengths in the circuit."""
-    return _checked_sum(c._flat, "circuit length")
+    return _fit(sum(c._tally().row_sums), "circuit length")
 
 
 def trace(c: Circuit, s: int) -> int:
     """Sum of segment s down all rows that reach it: rows 1..n-s."""
-    return _checked_sum(c.column(s), "trace")
+    _require_segment(s, c.n - 1)
+    return _fit(c._tally().traces[s - 1], "trace")
 
 
 def traces(c: Circuit) -> list[int]:
     """All traces at once: entry s-1 is the trace of segment s."""
-    n = c.n
-    max_segment = int(c._flat.max()) if c.segment_count else 0
-    if (n - 1) * max_segment <= I64_MAX:
-        acc = np.zeros(n - 1, dtype=np.int64)
-        for k in range(1, n):
-            acc[: n - k] += c.row(k)
-        return [int(v) for v in acc]
-    return [trace(c, s) for s in range(1, n)]
+    return [_fit(total, "trace") for total in c._tally().traces]
 
 
 def total_maximal_steps(n: int) -> int:

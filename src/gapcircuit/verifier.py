@@ -39,7 +39,7 @@ from .originator import (
     dump_sequence,
     random_generalized,
 )
-from .triangle import _abs_diff_checked
+from .triangle import _abs_diff_checked, _derive_into
 
 DEFAULT_SCAN_DEPTH = 500
 
@@ -90,14 +90,6 @@ def _first_row(o: Originator) -> np.ndarray:
     return _abs_diff_checked(o.terms)
 
 
-def _derive_into(row: np.ndarray, spare: np.ndarray, length: int) -> np.ndarray:
-    """One derivation step, writing into the spare buffer's prefix."""
-    out = spare[: length - 1]
-    np.subtract(row[1:length], row[: length - 1], out=out)
-    np.abs(out, out=out)
-    return out
-
-
 def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:
     """Derive every row from row 1 at full width, checking each leader.
 
@@ -106,14 +98,12 @@ def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:
     """
     n = row.size + 1
     spare = np.empty(max(n - 2, 0), dtype=row.dtype)
-    length = n - 1
     for k in range(1, n):
         leader = int(row[0])
         if leader != 1:
             return (k, leader), k - 1
         if k < n - 1:
-            row, spare = _derive_into(row, spare, length), row
-            length -= 1
+            row, spare = _derive_into(row, spare[: row.size - 1]), row
     return None, n - 1
 
 
@@ -172,9 +162,8 @@ def _scan_tiles(row: np.ndarray, depth: int) -> tuple[tuple[int, int] | None, in
     )
     certificate = 1
     for lo in range(0, m, TILE_COLUMNS):
-        cur, nxt = buffers
-        length = min(lo + TILE_COLUMNS + depth, m) - lo
-        cur[:length] = row[lo : lo + length]
+        cur, nxt = buffers[0, : min(lo + TILE_COLUMNS + depth, m) - lo], buffers[1]
+        cur[:] = row[lo : lo + cur.size]
         # Tile 0 holds the leader, which the certificate shape excludes.
         region_start = 1 if lo == 0 else 0
         k = 1
@@ -184,15 +173,12 @@ def _scan_tiles(row: np.ndarray, depth: int) -> tuple[tuple[int, int] | None, in
             # Only the largest first-stable row matters, so a tile is first
             # checked at the certificate row found so far, or once it has
             # run out of columns.
-            if (k >= certificate or length == 0) and _zeros_and_twos(
-                cur[region_start:length]
-            ):
+            if (k >= certificate or cur.size == 0) and _zeros_and_twos(cur[region_start:]):
                 certificate = max(certificate, k)
                 break
             if k == depth:
                 return None
-            cur, nxt = _derive_into(cur, nxt, length), cur
-            length -= 1
+            cur, nxt = _derive_into(cur, nxt[: cur.size - 1]), cur
             k += 1
     return None, certificate
 

@@ -38,6 +38,18 @@ def all_taus(terms):
     return [tau(terms, s) for s in range(1, len(terms))]
 
 
+def row_sums_and_traces(terms):
+    """Every row sum and every trace, one derived row at a time (O(n) memory)."""
+    sums = []
+    taus = [0] * (len(terms) - 1)
+    row = list(terms)
+    while len(row) > 1:
+        row = [abs(b - a) for a, b in zip(row, row[1:])]
+        sums.append(sum(row))
+        taus[: len(row)] = [t + v for t, v in zip(taus, row)]
+    return sums, taus
+
+
 def leading_ones(terms):
     """(all_ones, first_failure) by inspecting every derived row directly."""
     for k, row in enumerate(triangle_rows(terms), start=1):

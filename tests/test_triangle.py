@@ -28,6 +28,39 @@ terms_strategy = st.lists(
     st.integers(-(10**15), 10**15), min_size=2, max_size=40
 )
 
+I64_MAX = 2**63 - 1
+
+# Terms at the int64 edge: wide signed, wide nonnegative, and one 2^62 spike
+# among small terms.
+edge_terms_strategy = st.one_of(
+    st.lists(st.integers(-(2**62), 2**62), min_size=2, max_size=30),
+    st.lists(st.integers(0, 2**62), min_size=2, max_size=30),
+    st.lists(st.integers(0, 100), min_size=2, max_size=30).flatmap(
+        lambda small: st.integers(0, len(small) - 1).map(
+            lambda at: small[:at] + [2**62] + small[at + 1 :]
+        )
+    ),
+)
+
+
+def overflow_message(what, total):
+    return (
+        f"{what} {total} exceeds the signed 64-bit range; "
+        f"use a smaller or flatter originator"
+    )
+
+
+def assert_exact(read, totals, what):
+    """read() returns the oracle totals, or raises naming the first outside int64."""
+    outside = [t for t in totals if not -(2**63) <= t <= I64_MAX]
+    if outside:
+        with pytest.raises(Int64OverflowError) as exc:
+            read()
+        assert str(exc.value) == overflow_message(what, outside[0])
+    else:
+        got = read()
+        assert (got if isinstance(got, list) else [got]) == totals
+
 
 class TestPathType:
     def test_trivial_path_is_order_zero(self):
@@ -85,6 +118,34 @@ class TestDerive:
     def test_matches_oracle(self, terms):
         got = derive(Path(order=0, segments=terms))
         assert list(got.segments) == oracle.triangle_rows(terms)[0]
+
+    @given(st.lists(st.integers(-(2**63), I64_MAX), min_size=2, max_size=12))
+    @settings(max_examples=300)
+    def test_full_int64_range_matches_oracle(self, terms):
+        # Any int64 pair whose absolute difference leaves int64 is reported,
+        # the first one in order; every other first row is exact.
+        expected = oracle.triangle_rows(terms)[0]
+        p = Path(order=0, segments=terms)
+        outside = [i for i, d in enumerate(expected) if d > I64_MAX]
+        if outside:
+            i = outside[0]
+            with pytest.raises(Int64OverflowError) as exc:
+                derive(p)
+            assert str(exc.value) == (
+                f"segment |{terms[i + 1]} - {terms[i]}| does not fit "
+                f"in a signed 64-bit integer"
+            )
+        else:
+            assert derive(p).segments.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[0, -(2**63)], [-(2**63), 0], [-1, I64_MAX], [I64_MAX, -1], [5, 6, -(2**63), 1]],
+    )
+    def test_difference_of_two_to_the_63(self, terms):
+        # 2^63 wraps to -2^63 in int64, and -2^63 has no int64 absolute value.
+        with pytest.raises(Int64OverflowError):
+            derive(Path(order=0, segments=terms))
 
     @given(terms_strategy)
     @settings(max_examples=40)
@@ -267,6 +328,14 @@ class TestStatistics:
             traces(c)
         assert str(exc.value) == message
         assert trace(c, 3) == 0
+        # The cached tally keeps the exact totals: reads still fail or pass alike.
+        with pytest.raises(Int64OverflowError) as exc:
+            trace(c, 1)
+        assert str(exc.value) == message
+        with pytest.raises(Int64OverflowError) as exc:
+            path_lengths(c)
+        assert str(exc.value) == overflow_message("path length", 2**63)
+        assert trace(c, 3) == 0
 
     def test_path_length_overflow(self):
         big = (1 << 62) - 1
@@ -281,6 +350,41 @@ class TestStatistics:
         assert circuit_length(c) == oracle.kappa(terms)
         assert traces(c) == oracle.all_taus(terms)
         assert path_lengths(c) == [oracle.iota(r) for r in oracle.triangle_rows(terms)]
+
+    @given(edge_terms_strategy)
+    @settings(max_examples=150)
+    def test_statistics_at_int64_edge(self, terms):
+        rows = oracle.triangle_rows(terms)
+        if max(rows[0]) > I64_MAX:
+            with pytest.raises(Int64OverflowError):
+                build_circuit(Originator(terms))
+            return
+        c = build_circuit(Originator(terms))
+        iotas = [oracle.iota(r) for r in rows]
+        assert_exact(lambda: path_lengths(c), iotas, "path length")
+        assert_exact(lambda: traces(c), oracle.all_taus(terms), "trace")
+        for s in range(1, c.n):
+            assert_exact(lambda: trace(c, s), [oracle.tau(terms, s)], "trace")
+        for k in range(1, c.n):
+            assert_exact(lambda: path_length(c.path(k)), [iotas[k - 1]], "path length")
+        seed_path = trivial_path(c.originator)
+        assert_exact(lambda: path_length(seed_path), [sum(terms)], "path length")
+        assert_exact(lambda: circuit_length(c), [oracle.kappa(terms)], "circuit length")
+
+    def test_wide_walk_traces_fit_where_bound_does_not(self):
+        # (n-1) * max(row 1) leaves int64, every trace stays inside it, and
+        # some path lengths and the circuit length leave it.
+        rng = np.random.default_rng(55)
+        terms = np.cumsum(rng.integers(-(2**55), 2**55, 3000)).tolist()
+        sums, taus = oracle.row_sums_and_traces(terms)
+        row_1_max = max(abs(b - a) for a, b in zip(terms, terms[1:]))
+        assert (len(terms) - 1) * row_1_max > I64_MAX
+        assert max(taus) <= I64_MAX < max(sums)
+        c = build_circuit(Originator(terms))
+        assert traces(c) == taus
+        assert [trace(c, s) for s in range(1, c.n)] == taus
+        assert_exact(lambda: path_lengths(c), sums, "path length")
+        assert_exact(lambda: circuit_length(c), [sum(sums)], "circuit length")
 
     @given(terms_strategy)
     @settings(max_examples=80)
