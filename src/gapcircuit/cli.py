@@ -14,8 +14,10 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
+from . import sieve
 from .bounds import BoundReport, is_equality_case, run_all_checks, summarize
 from .errors import GapCircuitError, UsageError
 from .originator import (
@@ -33,6 +35,7 @@ from .verifier import (
     VerifyReport,
     search_counterexamples,
     verify_frontier,
+    verify_frontier_windows,
     verify_naive,
 )
 
@@ -59,24 +62,34 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _resolve_originator(args: argparse.Namespace) -> Originator:
+def _input_source(args: argparse.Namespace) -> str:
+    """The one input source given: "primes", "limit", "file" or "n"."""
     chosen = [
-        args.primes is not None,
-        args.limit is not None,
-        args.file is not None,
-        args.n is not None,
+        name
+        for name, value in (
+            ("primes", args.primes),
+            ("limit", args.limit),
+            ("file", args.file),
+            ("n", args.n),
+        )
+        if value is not None
     ]
     if (args.n is None) != (args.gmax is None):
         raise UsageError("--n and --gmax must be given together")
-    if sum(chosen) != 1:
+    if len(chosen) != 1:
         raise UsageError(
             "choose exactly one input source: --primes, --limit, --file, or --n/--gmax"
         )
-    if args.primes is not None:
+    return chosen[0]
+
+
+def _resolve_originator(args: argparse.Namespace) -> Originator:
+    source = _input_source(args)
+    if source == "primes":
         return first_n_primes(args.primes)
-    if args.limit is not None:
+    if source == "limit":
         return primes_up_to(args.limit)
-    if args.file is not None:
+    if source == "file":
         try:
             return load_sequence(Path(args.file))
         except OSError as exc:
@@ -239,12 +252,24 @@ def _verify_text(report: VerifyReport, timing: bool) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    o = _resolve_originator(args)
+def _verify(args: argparse.Namespace) -> VerifyReport:
     if args.method == "naive":
-        report = verify_naive(o)
+        return verify_naive(_resolve_originator(args))
+    # Sieved primes are scanned one window at a time, never held all at once.
+    source = _input_source(args)
+    if source == "primes":
+        windows = sieve.first_n_prime_windows(args.primes)
+        rebuild = partial(first_n_primes, args.primes)
+    elif source == "limit":
+        windows = sieve.prime_windows(args.limit)
+        rebuild = partial(primes_up_to, args.limit)
     else:
-        report = verify_frontier(o, args.scan_depth)
+        return verify_frontier(_resolve_originator(args), args.scan_depth)
+    return verify_frontier_windows(windows, rebuild, args.scan_depth)
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = _verify(args)
     if args.format == "json":
         _emit(_json(report.to_json_dict(timing=args.timing)))
     elif args.format == "csv":

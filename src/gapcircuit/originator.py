@@ -26,6 +26,10 @@ I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
 
 _U64_MASK = (1 << 64) - 1
+# Exact sums split each entry x into x >> 31 (below 2^32 in magnitude) and
+# x & (2^31 - 1); fewer than 2^31 values of either limb sum inside int64.
+_LIMB_BITS = 31
+_LOW_MASK = (1 << _LIMB_BITS) - 1
 # Draws computed at once by random_generalized; bounds its temporaries.
 _DRAW_BLOCK = 1 << 16
 _INT_TOKEN_RE = re.compile(r"[+-]?[0-9]+")
@@ -64,6 +68,12 @@ def _coerce_terms(values: Iterable[int] | np.ndarray) -> np.ndarray:
         arr = np.array(items, dtype=np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """The exact sum of fewer than 2^31 int64 values, as a Python int."""
+    high = int((values >> _LIMB_BITS).sum())
+    return (high << _LIMB_BITS) + int((values & _LOW_MASK).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +191,7 @@ def random_generalized(model: RandomModel) -> Originator:
         filled += block.size
     # Terms increase, so the last one is the largest; bound it before cumsum.
     if 1 + (model.n - 1) * model.g_max > I64_MAX:
-        exact_last = 1 + int(gaps.sum(dtype=object))
+        exact_last = 1 + _exact_sum(gaps)
         if exact_last > I64_MAX:
             raise Int64OverflowError(
                 f"term {exact_last} does not fit in a signed 64-bit integer"

@@ -6,12 +6,20 @@ cache-resident regardless of the limit.  Windows hold odd integers only:
 even numbers above 2 are never stored or crossed out, so each flag byte
 covers two integers and the Python loop over the base primes, which runs
 once per window, runs half as often for a window of the same byte size.
+
+One generator holds the window loop.  ``prime_windows`` and
+``first_n_prime_windows`` hand out its primes one window at a time, so a
+caller that reads them in turn, such as the streamed verifier, never holds
+more than one window; the n-prime version stops at the n-th prime.
+``primes_up_to_array`` and ``first_n_primes_array`` copy the windows into
+one array as they are sieved, so the array is the only large allocation.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from typing import Iterator
 
 import numpy as np
 
@@ -78,17 +86,50 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def primes_up_to_array(
+def _odd_window(lo: int, count: int, odd_base: np.ndarray, steps: list[int]) -> np.ndarray:
+    """The primes among the ``count`` odd integers from ``lo`` on.
+
+    Flag i stands for the odd integer lo + 2i.  Every base prime is below
+    lo, so crossing out from its first odd multiple >= lo never hits a prime.
+    """
+    first = -(-lo // odd_base) * odd_base
+    # Adding an odd p to an even multiple of p makes it odd.
+    first += odd_base * (first % 2 == 0)
+    seg = np.ones(count, dtype=bool)
+    for p, start in zip(steps, ((first - lo) // 2).tolist()):
+        seg[start::p] = False
+    primes = np.flatnonzero(seg)
+    primes *= 2
+    primes += lo
+    return primes
+
+
+def _windows(limit: int, window: int) -> Iterator[np.ndarray]:
+    """The primes <= limit, increasing, one int64 array per window."""
+    root = max(math.isqrt(limit), 2)
+    base = _simple_sieve(root)
+    yield base
+    odd_base = base[1:]
+    steps = odd_base.tolist()
+    # The flags of a window are freed before its primes are handed out.
+    for lo in range((root + 1) | 1, limit + 1, 2 * window):
+        yield _odd_window(lo, min(window, (limit - lo) // 2 + 1), odd_base, steps)
+
+
+def prime_windows(
     limit: int,
     *,
     segment_size: int | None = None,
     budget_bytes: int | None = None,
-) -> np.ndarray:
-    """All primes <= limit, increasing, as an int64 array.
+) -> Iterator[np.ndarray]:
+    """All primes <= limit, increasing, as consecutive int64 arrays.
 
-    ``segment_size`` is the number of odd integers per window (default
-    ``SEGMENT_SIZE``).  Raises ``RangeError`` for limit < 2 and
-    ``SieveBudgetError`` when the estimated output would exceed the budget.
+    The first array holds the primes up to sqrt(limit), each later one the
+    primes of one window of ``segment_size`` odd integers (default
+    ``SEGMENT_SIZE``); some may be empty.  Arguments are checked at the call:
+    ``RangeError`` for limit < 2 and ``SieveBudgetError`` when all the
+    primes at once would exceed the budget, as for ``primes_up_to_array``.
+    Windows are sieved only as they are read.
     """
     if limit < 2:
         raise RangeError(f"prime limit must be at least 2, got {limit}")
@@ -103,36 +144,21 @@ def primes_up_to_array(
     window = SEGMENT_SIZE if segment_size is None else segment_size
     if window < 1:
         raise RangeError(f"segment size must be positive, got {window}")
-
-    root = max(math.isqrt(limit), 2)
-    base = _simple_sieve(root)
-    chunks = [base]
-    odd_base = base[1:]
-    steps = odd_base.tolist()
-    # Flag i of a window stands for the odd integer lo + 2i.  Every base
-    # prime is below lo, so crossing out from its first odd multiple >= lo
-    # never hits a prime.
-    for lo in range((root + 1) | 1, limit + 1, 2 * window):
-        count = min(window, (limit - lo) // 2 + 1)
-        first = -(-lo // odd_base) * odd_base
-        # Adding an odd p to an even multiple of p makes it odd.
-        first += odd_base * (first % 2 == 0)
-        seg = np.ones(count, dtype=bool)
-        for p, start in zip(steps, ((first - lo) // 2).tolist()):
-            seg[start::p] = False
-        chunks.append(np.flatnonzero(seg) * 2 + lo)
-    primes = np.concatenate(chunks)
-    primes.setflags(write=False)
-    return primes
+    return _windows(limit, window)
 
 
-def first_n_primes_array(
+def first_n_prime_windows(
     n: int,
     *,
     segment_size: int | None = None,
     budget_bytes: int | None = None,
-) -> np.ndarray:
-    """The first n primes, increasing, as an int64 array."""
+) -> Iterator[np.ndarray]:
+    """The first n primes, increasing, as consecutive int64 arrays.
+
+    Sieving stops with the window that holds the n-th prime, and the last
+    array ends at it.  Arguments are checked at the call, as for
+    ``first_n_primes_array``.
+    """
     if n < 1:
         raise RangeError(f"prime count must be at least 1, got {n}")
     budget = sieve_budget_bytes() if budget_bytes is None else budget_bytes
@@ -141,14 +167,65 @@ def first_n_primes_array(
             f"{n} primes need {8 * n} bytes, over the budget of {budget} bytes "
             f"(raise {BUDGET_ENV_VAR} to allow this)"
         )
-    bound = nth_prime_upper_bound(n)
-    while True:
-        primes = primes_up_to_array(
-            bound, segment_size=segment_size, budget_bytes=budget
-        )
-        if len(primes) >= n:
-            out = primes[:n].copy()
-            out.setflags(write=False)
-            return out
-        # The bound is proven sufficient; this is pure defensiveness.
-        bound *= 2
+    windows = prime_windows(
+        nth_prime_upper_bound(n), segment_size=segment_size, budget_bytes=budget
+    )
+    return _take(n, windows)
+
+
+def _take(n: int, windows: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The windows up to the one holding prime n, that one cut after it."""
+    left = n
+    for primes in windows:
+        yield primes[:left]
+        left -= primes.size
+        if left <= 0:
+            return
+    # nth_prime_upper_bound is a proven bound (Rosser), so this cannot happen.
+    raise RuntimeError(f"the sieve found fewer than {n} primes")
+
+
+def _joined(windows: Iterator[np.ndarray], capacity: int) -> np.ndarray:
+    """The windows' primes copied into one read-only int64 array.
+
+    ``capacity`` must bound their count; the array is cut to the count in
+    place, so it never exists twice.
+    """
+    primes = np.empty(capacity, dtype=np.int64)
+    filled = 0
+    for window in windows:
+        primes[filled : filled + window.size] = window
+        filled += window.size
+    if filled < capacity:
+        primes.resize(filled, refcheck=False)
+    primes.setflags(write=False)
+    return primes
+
+
+def primes_up_to_array(
+    limit: int,
+    *,
+    segment_size: int | None = None,
+    budget_bytes: int | None = None,
+) -> np.ndarray:
+    """All primes <= limit, increasing, as a read-only int64 array.
+
+    ``segment_size`` is the number of odd integers per window (default
+    ``SEGMENT_SIZE``).  Raises ``RangeError`` for limit < 2 and
+    ``SieveBudgetError`` when the estimated output would exceed the budget.
+    """
+    windows = prime_windows(limit, segment_size=segment_size, budget_bytes=budget_bytes)
+    return _joined(windows, prime_count_upper_bound(limit))
+
+
+def first_n_primes_array(
+    n: int,
+    *,
+    segment_size: int | None = None,
+    budget_bytes: int | None = None,
+) -> np.ndarray:
+    """The first n primes, increasing, as a read-only int64 array."""
+    windows = first_n_prime_windows(
+        n, segment_size=segment_size, budget_bytes=budget_bytes
+    )
+    return _joined(windows, n)

@@ -19,12 +19,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Int64OverflowError, RangeError
-from .originator import I64_MAX, I64_MIN, Originator, _coerce_terms
-
-# Sums split each entry x into x >> 31 (below 2^32 in magnitude) and
-# x & (2^31 - 1); fewer than 2^31 values of either limb sum inside int64.
-_LIMB_BITS = 31
-_LOW_MASK = (1 << _LIMB_BITS) - 1
+from .originator import (
+    I64_MAX,
+    I64_MIN,
+    Originator,
+    _LIMB_BITS,
+    _LOW_MASK,
+    _coerce_terms,
+    _exact_sum,
+)
 
 
 def _abs_diff_checked(values: np.ndarray) -> np.ndarray:
@@ -246,8 +249,7 @@ def build_circuit(o: Originator) -> Circuit:
 
 def path_length(p: Path) -> int:
     """Sum of the path's segments."""
-    high = int((p.segments >> _LIMB_BITS).sum())
-    return _fit((high << _LIMB_BITS) + int((p.segments & _LOW_MASK).sum()), "path length")
+    return _fit(_exact_sum(p.segments), "path length")
 
 
 def path_lengths(c: Circuit) -> list[int]:

@@ -9,17 +9,27 @@ differences keep {0, 2} values inside {0, 2} and |x - 1| = 1 for x in
 {0, 2}.  That certificate lets it skip the remaining rows entirely.
 
 The naive sweep streams full-width int64 rows through two buffers, so
-memory stays O(n).  The frontier scan works on one column tile at a time,
-in the narrowest signed dtype that holds max(row 1): entries of row 1 are
-nonnegative and |x - y| <= max(x, y), so no later row exceeds that bound.
-Entry j of row k depends only on entries j..j+k-1 of row 1, so a tile with
-a halo of D = min(scan_depth, n - 1) extra columns can be derived through
-row D by itself.  Once a tile's region is all 0s and 2s it stays so (one
-column shorter per row), so every tile has a first such row, and the first
-row whose whole tail is in {0, 2} is the largest of these.  Tile 0 also
-carries the leaders, and a leader other than 1 there ends the scan.  A tile
-still unsettled at row D means no row within the scan depth has the
-certificate shape, so the run falls back to the naive sweep.
+memory stays O(n); it refuses triangles of more than ``SWEEP_CELL_LIMIT``
+cells before deriving any.  The frontier scan works on one column tile at a
+time.  Entry j of row k depends only on entries j..j+k-1 of row 1, so a tile
+with a halo of D = min(scan_depth, n - 1) extra columns can be derived
+through row D by itself.  Row 1 reaches the scan in chunks, and a tile is
+scanned as soon as its columns and its halo have arrived, so the scan never
+needs all of row 1 at once: ``verify_frontier`` passes its row as one chunk,
+and ``verify_frontier_windows`` derives the chunks from terms read one
+window at a time (the sieve's, for ``verify --primes/--limit``).
+
+Each tile starts in the narrowest signed dtype that holds the maximum of its
+own row-1 columns, halo included: entries are nonnegative and
+|x - y| <= max(x, y), so no later row of the tile exceeds that bound.  The
+same bound applied to a derived row lets a tile wider than int8 narrow again
+once the row's maximum allows it, which is checked every ``NARROW_EVERY``
+rows.  Once a tile's region is all 0s and 2s it stays so (one column
+shorter per row), so every tile has a first such row, and the first row
+whose whole tail is in {0, 2} is the largest of these.  Tile 0 also carries
+the leaders, and a leader other than 1 there ends the scan.  A tile still
+unsettled at row D means no row within the scan depth has the certificate
+shape, so the run falls back to the naive sweep over the whole originator.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,6 +56,14 @@ DEFAULT_SCAN_DEPTH = 500
 # Columns per tile of the frontier scan.  With its halo, a tile's two
 # buffers stay cache-resident for every dtype up to int32.
 TILE_COLUMNS = 1 << 16
+
+# Rows between two checks of whether a tile's current row fits a narrower
+# dtype.  Each check reads the row once, about half the cost of a derivation.
+NARROW_EVERY = 4
+
+# Largest triangle the naive sweep derives: about 14 s at the 1.2e9 cells
+# per second it reaches on a 2-CPU Xeon.
+SWEEP_CELL_LIMIT = 1 << 34
 
 # How many failing sequences a search report keeps for replay.
 KEPT_FAILURES = 5
@@ -90,13 +108,26 @@ def _first_row(o: Originator) -> np.ndarray:
     return _abs_diff_checked(o.terms)
 
 
+def _require_sweepable(n: int) -> None:
+    cells = n * (n - 1) // 2
+    if cells > SWEEP_CELL_LIMIT:
+        raise RangeError(
+            f"the naive sweep of {n} terms would derive {cells} cells, over the "
+            f"limit of {SWEEP_CELL_LIMIT}; use --method frontier with a larger "
+            f"--scan-depth"
+        )
+
+
 def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:
     """Derive every row from row 1 at full width, checking each leader.
 
     Returns ``(first_failure, max_order_checked)``.  ``row`` is used as one
-    of the two ping-pong buffers and is overwritten.
+    of the two ping-pong buffers and is overwritten.  Raises ``RangeError``
+    before deriving anything when the triangle has more than
+    ``SWEEP_CELL_LIMIT`` cells.
     """
     n = row.size + 1
+    _require_sweepable(n)
     spare = np.empty(max(n - 2, 0), dtype=row.dtype)
     for k in range(1, n):
         leader = int(row[0])
@@ -108,14 +139,14 @@ def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:
 
 
 def _report(
-    o: Originator,
+    n: int,
     start: float,
     first_failure: tuple[int, int] | None,
     max_checked: int,
     stabilization_row: int | None = None,
 ) -> VerifyReport:
     return VerifyReport(
-        n=o.n,
+        n=n,
         method="frontier" if stabilization_row is not None else "naive",
         all_ones=first_failure is None,
         max_order_checked=max_checked,
@@ -129,7 +160,7 @@ def verify_naive(o: Originator) -> VerifyReport:
     """Derive every row and check each leading segment directly."""
     start = time.perf_counter()
     first_failure, max_checked = _sweep(_first_row(o))
-    return _report(o, start, first_failure, max_checked)
+    return _report(o.n, start, first_failure, max_checked)
 
 
 def _narrowest_dtype(bound: int) -> np.dtype:
@@ -149,21 +180,37 @@ def _zeros_and_twos(values: np.ndarray) -> bool:
     return not (values == 1).any()
 
 
-def _scan_tiles(row: np.ndarray, depth: int) -> tuple[tuple[int, int] | None, int] | None:
-    """The frontier scan of rows 1..depth, one column tile at a time.
+def _scan_tiles(
+    chunks: Iterator[np.ndarray], depth: int
+) -> tuple[tuple[int, int] | None, int | None] | None:
+    """The frontier scan of rows 1..depth over row 1 read in chunks, tile by tile.
 
-    Returns ``(first_failure, None)`` for a leader other than 1 met before
-    the certificate, ``(None, stabilization_row)`` for a certificate, and
-    None when some tile is not all 0s and 2s by row ``depth``.
+    The tile at column lo is scanned once columns lo .. lo + TILE_COLUMNS +
+    depth - 1 have arrived, or once row 1 has ended; a tile cut short by the
+    end of row 1 runs out of columns before row ``depth``.  Chunks after the
+    scan ends are left unread.  Returns ``(first_failure, None)`` for a
+    leader other than 1 met before the certificate, ``(None,
+    stabilization_row)`` for a certificate, and None when some tile is not
+    all 0s and 2s by row ``depth``.
     """
-    m = row.size
-    buffers = np.empty(
-        (2, min(TILE_COLUMNS + depth, m)), dtype=_narrowest_dtype(int(row.max()))
-    )
     certificate = 1
-    for lo in range(0, m, TILE_COLUMNS):
-        cur, nxt = buffers[0, : min(lo + TILE_COLUMNS + depth, m) - lo], buffers[1]
-        cur[:] = row[lo : lo + cur.size]
+    pending = np.empty(0, dtype=np.int64)  # row 1 from column lo on
+    lo = 0
+    ended = False
+    while True:
+        while not ended and pending.size < TILE_COLUMNS + depth:
+            chunk = next(chunks, None)
+            if chunk is None:
+                ended = True
+            elif lo == 0 and pending.size == 0 and chunk.size and chunk[0] != 1:
+                return (1, int(chunk[0])), None  # a bad first leader needs no tile
+            else:
+                pending = np.concatenate((pending, chunk)) if pending.size else chunk
+        if pending.size == 0:
+            return None, certificate
+        tile = pending[: TILE_COLUMNS + depth]
+        cur = tile.astype(_narrowest_dtype(int(tile.max())))
+        nxt = np.empty_like(cur)
         # Tile 0 holds the leader, which the certificate shape excludes.
         region_start = 1 if lo == 0 else 0
         k = 1
@@ -178,9 +225,34 @@ def _scan_tiles(row: np.ndarray, depth: int) -> tuple[tuple[int, int] | None, in
                 break
             if k == depth:
                 return None
+            if k % NARROW_EVERY == 0 and cur.dtype != np.int8:
+                dtype = _narrowest_dtype(int(cur.max()))
+                if dtype != cur.dtype:
+                    cur = cur.astype(dtype)
+                    nxt = np.empty_like(cur)
             cur, nxt = _derive_into(cur, nxt[: cur.size - 1]), cur
             k += 1
-    return None, certificate
+        pending = pending[TILE_COLUMNS:]
+        lo += TILE_COLUMNS
+
+
+def _require_depth(scan_depth: int) -> None:
+    if scan_depth < 1:
+        raise RangeError(f"scan depth must be at least 1, got {scan_depth}")
+
+
+def _frontier_report(
+    n: int,
+    start: float,
+    found: tuple[tuple[int, int] | None, int | None] | None,
+    full_row: Callable[[], np.ndarray],
+) -> VerifyReport:
+    """The report for a scan outcome; the naive sweep of ``full_row()`` if none."""
+    if found is None:
+        return _report(n, start, *_sweep(full_row()))
+    first_failure, stabilization_row = found
+    max_checked = first_failure[0] - 1 if first_failure else n - 1
+    return _report(n, start, first_failure, max_checked, stabilization_row)
 
 
 def verify_frontier(o: Originator, scan_depth: int = DEFAULT_SCAN_DEPTH) -> VerifyReport:
@@ -193,18 +265,53 @@ def verify_frontier(o: Originator, scan_depth: int = DEFAULT_SCAN_DEPTH) -> Veri
     ``method``.
     """
     start = time.perf_counter()
-    if scan_depth < 1:
-        raise RangeError(f"scan depth must be at least 1, got {scan_depth}")
+    _require_depth(scan_depth)
     row = _first_row(o)
-    leader = int(row[0])
-    if leader != 1:
-        return _report(o, start, (1, leader), 0)
-    found = _scan_tiles(row, min(scan_depth, o.n - 1))
-    if found is None:
-        return _report(o, start, *_sweep(row))
-    first_failure, stabilization_row = found
-    max_checked = first_failure[0] - 1 if first_failure else o.n - 1
-    return _report(o, start, first_failure, max_checked, stabilization_row)
+    found = _scan_tiles(iter((row,)), scan_depth)
+    return _frontier_report(o.n, start, found, lambda: row)
+
+
+def verify_frontier_windows(
+    windows: Iterable[np.ndarray],
+    rebuild: Callable[[], Originator],
+    scan_depth: int = DEFAULT_SCAN_DEPTH,
+) -> VerifyReport:
+    """``verify_frontier`` on nonnegative terms read one window at a time.
+
+    ``windows`` yields the terms in order, as int64 arrays of any sizes; the
+    scan holds the current window, the row-1 columns not yet scanned and one
+    tile, never the whole originator.  Row 1 of a window starts with its
+    difference from the last term of the window before.  ``rebuild()`` must
+    return the whole originator; it is called only when the scan falls back
+    to the naive sweep.  The report is ``verify_frontier(rebuild(),
+    scan_depth)``'s, except that ``elapsed`` includes reading the windows.
+    """
+    start = time.perf_counter()
+    _require_depth(scan_depth)
+    n = 0
+
+    def first_row() -> Iterator[np.ndarray]:
+        nonlocal n
+        last = None
+        for terms in windows:
+            if terms.size:
+                n += terms.size
+                chunk = np.diff(terms) if last is None else np.diff(terms, prepend=last)
+                yield np.abs(chunk, out=chunk)
+                last = terms[-1]
+
+    chunks = first_row()
+    found = _scan_tiles(chunks, scan_depth)
+    for _ in chunks:  # read the rest only to count the terms
+        pass
+    if n < 2:
+        raise RangeError(f"verification needs at least two terms, got {n}")
+
+    def full_row() -> np.ndarray:
+        _require_sweepable(n)  # before the whole originator is rebuilt
+        return _first_row(rebuild())
+
+    return _frontier_report(n, start, found, full_row)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
+from gapcircuit import sieve
 from gapcircuit.cli import main
 
 
@@ -189,6 +191,90 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("50,frontier,true,49,,,")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("all primes requested at once")
+
+
+class TestStreamedVerify:
+    """verify --primes/--limit read the sieve one window at a time."""
+
+    def test_peak_memory_far_below_the_primes(self, capsys):
+        # 2*10^6 int64 primes alone take 16 MB
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--primes", "2000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["stabilization_row"] == 162
+        assert peak < 8 * 2**20
+
+    def test_primes_never_held(self, capsys, monkeypatch):
+        monkeypatch.setattr(sieve, "first_n_primes_array", _refuse)
+        monkeypatch.setattr(sieve, "primes_up_to_array", _refuse)
+        for argv, n in (
+            (["verify", "--primes", "2000000"], 2000000),
+            (["verify", "--limit", "1000000"], 78498),
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["n"] == n and payload["method"] == "frontier"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--primes", "1"], "verification needs at least two terms, got 1"),
+            (["--limit", "2"], "verification needs at least two terms, got 1"),
+            (["--limit", "1"], "prime limit must be at least 2, got 1"),
+            (["--primes", "0"], "prime count must be at least 1, got 0"),
+            (["--primes", "0", "--scan-depth", "0"], "prime count must be at least 1, got 0"),
+            (["--primes", "5", "--scan-depth", "0"], "scan depth must be at least 1, got 0"),
+        ],
+    )
+    def test_small_inputs_keep_their_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--primes", "100000"], "100000 primes need 800000 bytes, over the budget of 64 bytes"),
+            (["--primes", "8"], "sieving to 23 may emit ~80 bytes of primes, over the budget of 64 bytes"),
+            (["--limit", "100000"], "sieving to 100000 may emit ~87216 bytes of primes, over the budget of 64 bytes"),
+        ],
+    )
+    def test_sieve_budget_messages(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("GAPCIRCUIT_SIEVE_BUDGET", "64")
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} (raise GAPCIRCUIT_SIEVE_BUDGET to allow this)\n"
+
+    def test_naive_guard(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--primes", "200000", "--method", "naive")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the naive sweep of 200000 terms would derive 19999900000 cells, "
+            "over the limit of 17179869184; use --method frontier with a larger "
+            "--scan-depth\n"
+        )
+
+    def test_streamed_fallback_guard(self, capsys, monkeypatch):
+        # the scan cannot settle at depth 1, and the sweep is refused before
+        # the primes would be sieved again
+        monkeypatch.setattr(sieve, "first_n_primes_array", _refuse)
+        code, out, err = run_cli(capsys, "verify", "--primes", "200000", "--scan-depth", "1")
+        assert (code, out) == (2, "")
+        assert "naive sweep of 200000 terms" in err
+
+    def test_streamed_fallback_sweeps(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--limit", "1000", "--scan-depth", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "naive" and payload["max_order_checked"] == 167
 
 
 class TestSearchCommand:

@@ -212,6 +212,35 @@ class TestRandomGeneralized:
 
 
 
+class TestExactSum:
+    @given(st.lists(st.integers(-(2**63), I64_MAX), max_size=40))
+    def test_matches_python_sum(self, values):
+        assert originator._exact_sum(np.array(values, dtype=np.int64)) == sum(values)
+
+    def test_extremes(self):
+        for value in (-(2**63), -1, 2**31 - 1, 2**31, I64_MAX):
+            values = np.full(3000, value, dtype=np.int64)
+            assert originator._exact_sum(values) == 3000 * value
+
+    def test_overflow_message(self):
+        # three terms with gaps up to 2^63 - 2: the last term overflows for
+        # some seeds, and the message gives its exact value
+        overflowing = 0
+        for seed in range(40):
+            expected = oracle.random_generalized(3, 2**63 - 2, seed)
+            model = RandomModel(3, 2**63 - 2, seed)
+            if expected[-1] <= I64_MAX:
+                assert list(random_generalized(model)) == expected
+                continue
+            overflowing += 1
+            with pytest.raises(Int64OverflowError) as err:
+                random_generalized(model)
+            assert str(err.value) == (
+                f"term {expected[-1]} does not fit in a signed 64-bit integer"
+            )
+        assert overflowing > 5
+
+
 class TestRandomStream:
     def test_seed_zero_pinned(self):
         assert originator._splitmix64(0, 0, 3).tolist() == [

@@ -1,11 +1,12 @@
 import bisect
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy
 
 import oracle
-from gapcircuit import sieve
+from gapcircuit import GapCircuitError, sieve
 
 SMALL_PRIMES = oracle.primes_below(3000)
 
@@ -39,3 +40,109 @@ class TestOddOnlySieve:
         assert primes.flags.owndata
         assert int(primes[-1]) == 1299709
         assert primes.tolist() == list(sympy.primerange(2, 1299710))
+
+
+def _joined(windows):
+    return [int(p) for window in windows for p in window]
+
+
+class TestWindows:
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 16])
+    def test_window_edges(self, monkeypatch, window):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", window)
+        for limit in range(2, 300):
+            windows = list(sieve.prime_windows(limit))
+            assert _joined(windows) == _expected(limit)
+            assert all(w.dtype == np.int64 for w in windows)
+            # the base primes come first, then one array per window
+            root = max(int(limit**0.5), 2)
+            assert windows[0].tolist() == _expected(root)
+            assert len(windows) == 1 + len(range((root + 1) | 1, limit + 1, 2 * window))
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 16, 1 << 20])
+    def test_first_n_stops_at_the_nth_prime(self, monkeypatch, window):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", window)
+        sieved = []
+        original = sieve._odd_window
+
+        def recording(lo, count, odd_base, steps):
+            sieved.append(lo)
+            return original(lo, count, odd_base, steps)
+
+        monkeypatch.setattr(sieve, "_odd_window", recording)
+        for n in range(1, 200):
+            sieved.clear()
+            windows = list(sieve.first_n_prime_windows(n))
+            assert _joined(windows) == SMALL_PRIMES[:n]
+            assert windows[-1].size and int(windows[-1][-1]) == SMALL_PRIMES[n - 1]
+            # no window starts past the n-th prime
+            assert all(lo <= SMALL_PRIMES[n - 1] for lo in sieved)
+
+    def test_segment_size_argument(self):
+        for window in (1, 5, 64):
+            got = sieve.first_n_prime_windows(400, segment_size=window)
+            assert _joined(got) == SMALL_PRIMES[:400]
+
+    def test_arguments_checked_at_the_call(self):
+        # errors come before any window is read, with the array functions' messages
+        cases = [
+            (lambda: sieve.prime_windows(1), lambda: sieve.primes_up_to_array(1)),
+            (lambda: sieve.first_n_prime_windows(0), lambda: sieve.first_n_primes_array(0)),
+            (
+                lambda: sieve.prime_windows(10**5, budget_bytes=64),
+                lambda: sieve.primes_up_to_array(10**5, budget_bytes=64),
+            ),
+            (
+                lambda: sieve.first_n_prime_windows(8, budget_bytes=64),
+                lambda: sieve.first_n_primes_array(8, budget_bytes=64),
+            ),
+            (
+                lambda: sieve.first_n_prime_windows(9, budget_bytes=64),
+                lambda: sieve.first_n_primes_array(9, budget_bytes=64),
+            ),
+            (
+                lambda: sieve.prime_windows(100, segment_size=0),
+                lambda: sieve.primes_up_to_array(100, segment_size=0),
+            ),
+        ]
+        for windows, array in cases:
+            with pytest.raises(GapCircuitError) as streamed:
+                windows()
+            with pytest.raises(GapCircuitError) as held:
+                array()
+            assert type(streamed.value) is type(held.value)
+            assert str(streamed.value) == str(held.value)
+
+    @pytest.mark.parametrize("window", [1, 3, 16])
+    def test_first_n_array_is_exact(self, monkeypatch, window):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", window)
+        for n in (1, 2, 5, 6, 50, 300):
+            primes = sieve.first_n_primes_array(n)
+            assert primes.tolist() == SMALL_PRIMES[:n]
+            assert primes.flags.owndata and not primes.flags.writeable
+
+
+class TestArrayMemory:
+    """The joined arrays are filled window by window, never held twice."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sieve.primes_up_to_array(5 * 10**7),
+            lambda: sieve.first_n_primes_array(2 * 10**6),
+        ],
+    )
+    def test_peak_near_the_result(self, make):
+        tracemalloc.start()
+        try:
+            primes = make()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert primes.flags.owndata and not primes.flags.writeable
+        assert peak < 1.5 * primes.nbytes
+
+    def test_cut_to_the_count(self):
+        primes = sieve.primes_up_to_array(10**6)
+        assert primes.size == 78498 < sieve.prime_count_upper_bound(10**6)
+        assert int(primes[-1]) == 999983

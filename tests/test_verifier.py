@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from gapcircuit import verifier
+from gapcircuit import sieve, verifier
 from gapcircuit import (
     Originator,
     RandomModel,
     RangeError,
     first_n_primes,
     load_sequence,
+    primes_up_to,
     random_generalized,
     search_counterexamples,
     verify_frontier,
@@ -151,11 +152,15 @@ def _differential(terms, scan_depth=verifier.DEFAULT_SCAN_DEPTH):
     return fast
 
 
+def _with_row1_value(terms, column, value):
+    """The terms with row 1 set to ``value`` at ``column`` by shifting every later term."""
+    shift = value - (terms[column + 1] - terms[column])
+    return terms[: column + 1] + [t + shift for t in terms[column + 1 :]]
+
+
 def _with_row1_max(peak):
     """400 prime-based terms whose first row peaks at exactly ``peak``, at column 299."""
-    primes = list(first_n_primes(400))
-    shift = peak - (primes[300] - primes[299])
-    return primes[:300] + [p + shift for p in primes[300:]]
+    return _with_row1_value(list(first_n_primes(400)), 299, peak)
 
 
 def _parity_flip(n, column):
@@ -253,6 +258,213 @@ class TestTiledFrontier:
                 terms[index] += bump
         with mock.patch.object(verifier, "TILE_COLUMNS", tile):
             _differential(terms, scan_depth)
+
+
+def _cut(terms, sizes):
+    """The terms as consecutive int64 windows whose sizes cycle through ``sizes``."""
+    arr = np.array(terms, dtype=np.int64)
+    windows, lo, i = [], 0, 0
+    while lo < arr.size:
+        size = sizes[i % len(sizes)]
+        windows.append(arr[lo : lo + size])
+        lo += size
+        i += 1
+    return windows
+
+
+def _streamed(terms, scan_depth=verifier.DEFAULT_SCAN_DEPTH, sizes=(5,)):
+    """The streamed report on windows of the terms, checked against the held one."""
+    rebuilt = []
+
+    def rebuild():
+        rebuilt.append(True)
+        return Originator(terms)
+
+    held = verify_frontier(Originator(terms), scan_depth)
+    got = verifier.verify_frontier_windows(_cut(terms, sizes), rebuild, scan_depth)
+    assert got.to_json_dict(timing=False) == held.to_json_dict(timing=False)
+    # the whole originator is rebuilt only for the naive sweep
+    assert len(rebuilt) <= 1
+    if rebuilt:
+        assert got.method == "naive"
+    return got, bool(rebuilt)
+
+
+def _must_not_run(*args):
+    raise AssertionError("called where it must not be")
+
+
+class TestStreamedFrontier:
+    """Row 1 read in chunks from term windows, against the held row and the oracle."""
+
+    @given(
+        first=st.integers(0, 50),
+        gaps=st.lists(st.sampled_from([0, 2, 2, 4, 6]), max_size=60),
+        bumps=st.lists(
+            st.tuples(
+                st.integers(0, 61),
+                st.one_of(st.integers(0, 3), st.integers(0, 300), st.integers(0, 2**40)),
+            ),
+            max_size=3,
+        ),
+        sizes=st.lists(st.integers(0, 9), min_size=1, max_size=4).filter(any),
+        tile=st.integers(1, 7),
+        scan_depth=st.one_of(st.integers(1, 7), st.integers(8, 70)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_windows(self, first, gaps, bumps, sizes, tile, scan_depth):
+        terms = np.cumsum([first, 1, *gaps]).tolist()
+        for index, bump in bumps:
+            if index < len(terms):
+                terms[index] += bump
+        with mock.patch.object(verifier, "TILE_COLUMNS", tile):
+            _differential(terms, scan_depth)
+            _streamed(terms, scan_depth, sizes)
+
+    @pytest.mark.parametrize("segment", [1, 2, 3, 7])
+    @pytest.mark.parametrize("tile", [1, 4, 7])
+    def test_prime_prefixes(self, monkeypatch, segment, tile):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment)
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", tile)
+        for scan_depth in range(1, 8):
+            for n in (2, 3, 5, 9, 17, 40, 101):
+                held = verify_frontier(first_n_primes(n), scan_depth)
+                got = verifier.verify_frontier_windows(
+                    sieve.first_n_prime_windows(n),
+                    lambda: first_n_primes(n),
+                    scan_depth,
+                )
+                assert got.to_json_dict(timing=False) == held.to_json_dict(timing=False)
+            for limit in (3, 10, 11, 97, 300):
+                held = verify_frontier(primes_up_to(limit), scan_depth)
+                got = verifier.verify_frontier_windows(
+                    sieve.prime_windows(limit), lambda: primes_up_to(limit), scan_depth
+                )
+                assert got.to_json_dict(timing=False) == held.to_json_dict(timing=False)
+
+    def test_certificates_need_no_rebuild(self, monkeypatch):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", 97)
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", 64)
+        got = verifier.verify_frontier_windows(
+            sieve.first_n_prime_windows(5000), _must_not_run
+        )
+        assert got.to_json_dict(timing=False) == verify_frontier(
+            first_n_primes(5000)
+        ).to_json_dict(timing=False)
+        assert got.method == "frontier"
+
+    @pytest.mark.parametrize("sizes", [(1,), (3, 0, 50), (64,), (1000,)])
+    def test_spikes_fall_back(self, monkeypatch, sizes):
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", 64)
+        # a failure after tile 0 settled, and a late step that no tile
+        # settles within the depth
+        primes = list(first_n_primes(600))
+        for terms in (_parity_flip(600, 400), primes[:500] + [p + 10**6 for p in primes[500:]]):
+            _differential(terms, 50)
+            got, rebuilt = _streamed(terms, 50, sizes)
+            assert rebuilt and got.method == "naive"
+
+    def test_failure_in_tile_zero_counts_every_term(self, monkeypatch):
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", 64)
+        got, rebuilt = _streamed(_parity_flip(600, 30), 50, (7,))
+        assert not rebuilt
+        assert got.first_failure[0] == 30 and got.n == 600
+
+    def test_bad_first_leader(self):
+        got, rebuilt = _streamed([1, 3, 5, 7, 9], 5, (2,))
+        assert not rebuilt
+        assert got.first_failure == (1, 2) and got.max_order_checked == 0
+
+    @pytest.mark.parametrize(
+        "value, wide",
+        [(127, np.int8), (128, np.int16), (200, np.int16), (40000, np.int32)],
+    )
+    def test_value_only_in_a_halo(self, monkeypatch, value, wide):
+        # with tiles of 64 columns and depth 40, column 80 lies in the halo of
+        # tile 0 (columns 64..103) and in the region of tile 1
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", 64)
+        terms = _with_row1_value(list(first_n_primes(300)), 80, value)
+        row1 = oracle.triangle_rows(terms)[0]
+        assert row1[80] == value
+        assert max(row1[:64]) < 127 and max(row1[:104]) == value
+        assert verifier._narrowest_dtype(max(row1[:104])) == wide
+        for sizes in ((1,), (9, 2), (300,)):
+            _differential(terms, 40)
+            _streamed(terms, 40, sizes)
+
+    @pytest.mark.parametrize("target", [127, 128])
+    def test_row_maximum_at_a_narrowing_check(self, monkeypatch, target):
+        # one tile; row 1 peaks above int8, and a derived row at a check
+        # holds exactly ``target`` as its largest entry
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", 1 << 10)
+        primes = list(first_n_primes(300))
+        found = []
+        for value in range(129, 400):
+            terms = _with_row1_value(primes, 150, value)
+            rows = oracle.triangle_rows(terms)
+            checks = [
+                k for k in range(verifier.NARROW_EVERY, 60, verifier.NARROW_EVERY)
+                if max(rows[k - 1]) == target
+            ]
+            if checks and all(max(rows[k - 1]) > 127 for k in range(1, checks[0])):
+                found.append(terms)
+            if len(found) == 3:
+                break
+        assert len(found) == 3
+        for terms in found:
+            _differential(terms)
+            _streamed(terms, sizes=(13,))
+            _streamed(terms, 70, sizes=(1, 40))
+
+
+    @pytest.mark.parametrize("last", [130, 260])
+    def test_narrowing_reads_the_whole_row(self, last):
+        # row 1 is 1, fifty 2s and ``last``: every later row is 1, 0s and
+        # last - 2 in its final column, until that value reaches the leader.
+        # 128 and 258 would pass for -128 and 2 in int8.
+        terms = np.cumsum([2, 1] + [2] * 50 + [last]).tolist()
+        rows = oracle.triangle_rows(terms)
+        assert [max(rows[k]) for k in range(1, 12)] == [last - 2] * 11
+        r = _differential(terms)
+        assert r.first_failure == (52, last - 3)
+        for sizes in ((1,), (4, 60)):
+            _streamed(terms, sizes=sizes)
+
+
+class TestSweepGuard:
+    def test_limit_is_inclusive(self, monkeypatch):
+        # five terms make 10 cells, six make 15
+        monkeypatch.setattr(verifier, "SWEEP_CELL_LIMIT", 10)
+        assert verify_naive(first_n_primes(5)).all_ones
+        with pytest.raises(RangeError) as err:
+            verify_naive(first_n_primes(6))
+        assert str(err.value) == (
+            "the naive sweep of 6 terms would derive 15 cells, over the limit "
+            "of 10; use --method frontier with a larger --scan-depth"
+        )
+
+    def test_refused_before_deriving(self, monkeypatch):
+        monkeypatch.setattr(verifier, "SWEEP_CELL_LIMIT", 10)
+        monkeypatch.setattr(verifier, "_derive_into", _must_not_run)
+        with pytest.raises(RangeError):
+            verify_naive(Originator([2, 3, 5, 7, 11, 13]))
+
+    def test_fallback_guarded(self, monkeypatch):
+        monkeypatch.setattr(verifier, "SWEEP_CELL_LIMIT", 100)
+        # a certificate needs no sweep; depth 1 forces one
+        assert verify_frontier(first_n_primes(100)).method == "frontier"
+        with pytest.raises(RangeError, match="100 terms would derive 4950 cells"):
+            verify_frontier(first_n_primes(100), scan_depth=1)
+
+    def test_streamed_fallback_refused_before_rebuild(self, monkeypatch):
+        monkeypatch.setattr(verifier, "SWEEP_CELL_LIMIT", 100)
+        with pytest.raises(RangeError, match="100 terms would derive 4950 cells"):
+            verifier.verify_frontier_windows(
+                sieve.first_n_prime_windows(100), _must_not_run, 1
+            )
+
+    def test_default_limit(self):
+        assert verifier.SWEEP_CELL_LIMIT == 2**34
 
 
 class TestSearch:
