@@ -28,7 +28,14 @@ from .originator import (
     primes_up_to,
     random_generalized,
 )
-from .triangle import build_circuit, circuit_length, path_lengths, total_maximal_steps, traces
+from .triangle import (
+    _StreamedCircuit,
+    build_circuit,
+    circuit_length,
+    path_lengths,
+    total_maximal_steps,
+    traces,
+)
 from .verifier import (
     DEFAULT_SCAN_DEPTH,
     SearchReport,
@@ -129,7 +136,7 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     o = _resolve_originator(args)
     _gate_triangle_size(o, args.cap)
-    c = build_circuit(o)
+    c = _StreamedCircuit(o)
     iotas = path_lengths(c)
     taus = traces(c)
     kappa = circuit_length(c)

@@ -4,17 +4,21 @@ One operator drives everything here: replace a sequence by the absolute
 differences of its consecutive entries.  Applying it k times to a seed
 sequence of n terms yields the order-k path with n-k segments; the family of
 all such paths for orders 1..n-1 is the circuit, stored as one triangular
-buffer.  Indices in the public API are 1-based: segment s of order k is the
-value at row k, column s.
+buffer of n(n-1)/2 segments, refused above ``CIRCUIT_CELL_LIMIT``.  Indices in
+the public API are 1-based: segment s of order k is the value at row k,
+column s.
 
 Statistics are read from one cached tally of the rows, whose sums add 31-bit
 limbs: exact for any int64 input, they raise only when read outside int64.
+The tally reads rows either from a circuit or from a stream that derives
+them in two reused buffers, which needs O(n) memory and no circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +32,10 @@ from .originator import (
     _coerce_terms,
     _exact_sum,
 )
+
+# Most segments build_circuit materializes: 2 GiB of int64, five times the
+# triangle of the command line's default cap of 10^4 terms.
+CIRCUIT_CELL_LIMIT = 1 << 28
 
 
 def _abs_diff_checked(values: np.ndarray) -> np.ndarray:
@@ -57,6 +65,24 @@ def _derive_into(row: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.subtract(row[1:], row[:-1], out=out)
     np.abs(out, out=out)
     return out
+
+
+def _rows_from(row: np.ndarray) -> Iterator[np.ndarray]:
+    """``row``, then each row derived from it, down to a single segment.
+
+    Rows ping-pong between ``row`` and one spare buffer, so a yielded row is
+    overwritten once the row after next is derived.
+    """
+    spare = np.empty(max(row.size - 1, 0), dtype=row.dtype)
+    yield row
+    while row.size > 1:
+        row, spare = _derive_into(row, spare[: row.size - 1]), row
+        yield row
+
+
+def _rows(o: Originator) -> Iterator[np.ndarray]:
+    """Rows 1..n-1 of the circuit of ``o``, streamed as by ``_rows_from``."""
+    return _rows_from(_abs_diff_checked(o.terms))
 
 
 def _require_segment(s: int, hi: int) -> None:
@@ -139,10 +165,7 @@ def path_of_order(o: Originator, k: int) -> Path:
     """The maximal-step path of order k: k applications of derive to the seed."""
     if not 1 <= k <= o.n - 1:
         raise RangeError(f"order must be in [1, {o.n - 1}], got {k}")
-    row = _abs_diff_checked(o.terms)
-    for _ in range(k - 1):
-        row = _derive_into(row, np.empty(row.size - 1, dtype=np.int64))
-    return Path(order=k, segments=row)
+    return Path(order=k, segments=next(islice(_rows(o), k - 1, None)))
 
 
 class _Tally(NamedTuple):
@@ -151,6 +174,51 @@ class _Tally(NamedTuple):
     row_sums: list[int]
     row_maxima: list[int]
     traces: list[int]
+
+
+def _tally_rows(rows: Iterable[np.ndarray], n: int) -> _Tally:
+    """The tally of rows 1..n-1 of an n-term circuit, read once in order."""
+    # Row 0 of each pair holds the high limbs, row 1 the low limbs.
+    limbs = np.empty((2, n - 1), dtype=np.int64)
+    columns = np.zeros((2, n - 1), dtype=np.int64)
+    row_sums, row_maxima = [], []
+    for row in rows:
+        top = int(row.max())
+        row_maxima.append(top)
+        if top <= _LOW_MASK:
+            # The row is its own low limb and its high limb is all 0s.
+            row_sums.append(int(row.sum()))
+            columns[1, : row.size] += row
+            continue
+        pair = limbs[:, : row.size]
+        np.right_shift(row, _LIMB_BITS, out=pair[0])
+        np.bitwise_and(row, _LOW_MASK, out=pair[1])
+        high, low = pair.sum(axis=1).tolist()
+        row_sums.append((high << _LIMB_BITS) + low)
+        columns[:, : row.size] += pair
+    traces = [(high << _LIMB_BITS) + low for high, low in zip(*columns.tolist())]
+    return _Tally(row_sums, row_maxima, traces)
+
+
+class _StreamedCircuit:
+    """The ``n`` and ``_tally()`` of a circuit, tallied from streamed rows.
+
+    ``path_lengths``, ``traces``, ``trace`` and ``circuit_length`` read it as
+    they read a ``Circuit``; no row is kept.  The first derivation, and with
+    it any ``Int64OverflowError``, happens at the first statistic read.
+    """
+
+    __slots__ = ("originator", "n", "_cached_tally")
+
+    def __init__(self, originator: Originator):
+        self.originator = originator
+        self.n = originator.n
+        self._cached_tally: _Tally | None = None
+
+    def _tally(self) -> _Tally:
+        if self._cached_tally is None:
+            self._cached_tally = _tally_rows(_rows(self.originator), self.n)
+        return self._cached_tally
 
 
 class Circuit:
@@ -176,22 +244,8 @@ class Circuit:
     def _tally(self) -> _Tally:
         """Row sums, row maxima and traces, from one pass over rows 1..n-1."""
         if self._cached_tally is None:
-            n = self.n
-            # Row 0 of each pair holds the high limbs, row 1 the low limbs.
-            limbs = np.empty((2, n - 1), dtype=np.int64)
-            columns = np.zeros((2, n - 1), dtype=np.int64)
-            row_sums, row_maxima = [], []
-            for k in range(1, n):
-                row = self.row(k)
-                pair = limbs[:, : n - k]
-                np.right_shift(row, _LIMB_BITS, out=pair[0])
-                np.bitwise_and(row, _LOW_MASK, out=pair[1])
-                high, low = pair.sum(axis=1).tolist()
-                row_sums.append((high << _LIMB_BITS) + low)
-                row_maxima.append(int(row.max()))
-                columns[:, : n - k] += pair
-            traces = [(high << _LIMB_BITS) + low for high, low in zip(*columns.tolist())]
-            self._cached_tally = _Tally(row_sums, row_maxima, traces)
+            rows = (self.row(k) for k in range(1, self.n))
+            self._cached_tally = _tally_rows(rows, self.n)
         return self._cached_tally
 
     @property
@@ -234,11 +288,21 @@ class Circuit:
 
 
 def build_circuit(o: Originator) -> Circuit:
-    """Materialize the whole circuit in one pass, each row from its predecessor."""
+    """Materialize the whole circuit in one pass, each row from its predecessor.
+
+    Raises ``RangeError`` before allocating anything when the circuit would
+    hold more than ``CIRCUIT_CELL_LIMIT`` segments.
+    """
     n = o.n
     if n < 2:
         raise RangeError(f"a circuit needs at least two terms, got {n}")
-    flat = np.empty(n * (n - 1) // 2, dtype=np.int64)
+    cells = n * (n - 1) // 2
+    if cells > CIRCUIT_CELL_LIMIT:
+        raise RangeError(
+            f"a circuit of {n} terms would hold {cells} cells, over the limit "
+            f"of {CIRCUIT_CELL_LIMIT}"
+        )
+    flat = np.empty(cells, dtype=np.int64)
     c = Circuit(o, flat)
     flat[: n - 1] = _abs_diff_checked(o.terms)
     for k in range(2, n):

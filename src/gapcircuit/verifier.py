@@ -49,7 +49,7 @@ from .originator import (
     dump_sequence,
     random_generalized,
 )
-from .triangle import _abs_diff_checked, _derive_into
+from .triangle import _abs_diff_checked, _derive_into, _rows_from
 
 DEFAULT_SCAN_DEPTH = 500
 
@@ -128,13 +128,10 @@ def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:
     """
     n = row.size + 1
     _require_sweepable(n)
-    spare = np.empty(max(n - 2, 0), dtype=row.dtype)
-    for k in range(1, n):
-        leader = int(row[0])
+    for k, derived in enumerate(_rows_from(row), start=1):
+        leader = int(derived[0])
         if leader != 1:
             return (k, leader), k - 1
-        if k < n - 1:
-            row, spare = _derive_into(row, spare[: row.size - 1]), row
     return None, n - 1
 
 

@@ -1,9 +1,10 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from gapcircuit import sieve
+from gapcircuit import cli, sieve, triangle
 from gapcircuit.cli import main
 
 
@@ -105,6 +106,76 @@ class TestStatsCommand:
         assert len(lines) == 16
         assert lines[0] == "statistic,index,value"
         assert lines[1] == "n,,7"
+
+
+def _refuse_circuit(*args, **kwargs):
+    raise AssertionError("circuit built")
+
+
+class TestStreamedStats:
+    """stats tallies streamed rows: no circuit, O(n) memory."""
+
+    @pytest.fixture
+    def wide_walk(self, tmp_path):
+        rng = np.random.default_rng(32)
+        terms = np.cumsum(rng.integers(-(2**32), 2**32, 2000, endpoint=True))
+        path = tmp_path / "wide.txt"
+        path.write_text("\n".join(map(str, terms.tolist())) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("source", ["primes", "file"])
+    def test_same_output_without_a_circuit(self, capsys, monkeypatch, wide_walk, source, fmt):
+        given = ["--primes", "3000"] if source == "primes" else ["--file", wide_walk]
+        argv = ["stats", *given, "--format", fmt]
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_StreamedCircuit", cli.build_circuit)
+            want = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "build_circuit", _refuse_circuit)
+        monkeypatch.setattr(triangle, "Circuit", _refuse_circuit)
+        assert want[0] == 0
+        assert run_cli(capsys, *argv) == want
+
+    def test_peak_memory_far_below_the_triangle(self, capsys):
+        # the triangle of 3000 terms holds 3000 * 2999 / 2 int64 cells: 36 MB
+        tracemalloc.start()
+        try:
+            code = main(["stats", "--primes", "3000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3000
+        assert peak < 36e6 / 4
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--primes", "1"], "a triangle needs at least two terms, got 1"),
+            (["--primes", "50", "--cap", "10"], "50 terms exceeds the triangle cap of 10; raise it with --cap"),
+        ],
+    )
+    def test_gates_keep_their_messages(self, capsys, argv, message):
+        assert run_cli(capsys, "stats", *argv) == (2, "", f"error: {message}\n")
+
+
+class TestCircuitCellLimit:
+    @pytest.mark.parametrize("command", ["triangle", "check"])
+    def test_refused_before_allocating(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(triangle, "Circuit", _refuse_circuit)
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, command, "--primes", "30000", "--cap", "30000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (
+            2,
+            "",
+            "error: a circuit of 30000 terms would hold 449985000 cells, over the "
+            "limit of 268435456\n",
+        )
+        assert peak < 8 * 2**20
 
 
 class TestCheckCommand:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from gapcircuit import triangle
 from gapcircuit import (
     Int64OverflowError,
     Originator,
@@ -21,6 +22,7 @@ from gapcircuit import (
     traces,
     trivial_path,
 )
+from gapcircuit.triangle import CIRCUIT_CELL_LIMIT, _rows, _StreamedCircuit
 
 PRIMES5 = Originator([2, 3, 5, 7, 11])
 
@@ -391,3 +393,129 @@ class TestStatistics:
     def test_trace_sum_identity(self, terms):
         c = build_circuit(Originator(terms))
         assert circuit_length(c) == sum(traces(c))
+
+
+def streamed(terms):
+    return _StreamedCircuit(Originator(terms))
+
+
+def outcome(read):
+    """read()'s value, or the type and message of the error it raises."""
+    try:
+        return read()
+    except (Int64OverflowError, RangeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamedTally:
+    """The tally of streamed rows equals the circuit's and the oracle's."""
+
+    def assert_tallies_agree(self, terms):
+        tally = streamed(terms)._tally()
+        assert tally == build_circuit(Originator(terms))._tally()
+        assert (tally.row_sums, tally.traces) == oracle.row_sums_and_traces(terms)
+        assert tally.row_maxima == oracle.row_maxima(terms)
+
+    @given(terms_strategy)
+    @settings(max_examples=80)
+    def test_matches_circuit_and_oracle(self, terms):
+        self.assert_tallies_agree(terms)
+
+    @given(edge_terms_strategy)
+    @settings(max_examples=150)
+    def test_matches_at_int64_edge(self, terms):
+        if max(oracle.triangle_rows(terms)[0]) > I64_MAX:
+            return
+        self.assert_tallies_agree(terms)
+
+    @pytest.mark.parametrize(
+        "terms", [[9, 4], [2, 3, 5], [-7, 7], [0, 0], [4, 4, 4], [5] * 6, [-(2**62)] * 4]
+    )
+    def test_small_and_constant(self, terms):
+        self.assert_tallies_agree(terms)
+
+    @pytest.mark.parametrize(
+        "terms", [[0, 2**31 - 1, 0], [0, 2**31, 0], [0, 2**40, -3, 2**40 + 4, -4]]
+    )
+    def test_rows_below_and_above_one_limb(self, terms):
+        self.assert_tallies_agree(terms)
+
+    @given(st.integers(31, 61), st.lists(st.integers(0, 100), min_size=2, max_size=30))
+    @settings(max_examples=80)
+    def test_wide_row_above_narrow_rows(self, bits, small):
+        # Row 1 is 2^bits + small, alternating in sign; rows 2.. are small.
+        steps = [(2**bits + d) * (-1) ** i for i, d in enumerate(small)]
+        self.assert_tallies_agree(np.cumsum([0] + steps).tolist())
+
+    def test_wide_walk(self):
+        # Traces fit in int64 and path lengths do not: both sources say so alike.
+        rng = np.random.default_rng(55)
+        terms = np.cumsum(rng.integers(-(2**55), 2**55, 3000)).tolist()
+        self.assert_tallies_agree(terms)
+        self.assert_reads_agree(terms)
+        assert outcome(lambda: path_lengths(streamed(terms)))[0] is Int64OverflowError
+
+    def assert_reads_agree(self, terms):
+        """Each statistic, or the error reading it raises, is the same from both."""
+        s = streamed(terms)
+        c = outcome(lambda: build_circuit(Originator(terms)))
+        if isinstance(c, tuple):
+            # The first derivation overflows: every read of the stream says so.
+            assert c[0] is Int64OverflowError
+            for read in (path_lengths, traces, circuit_length):
+                assert outcome(lambda: read(s)) == c
+            return
+        for read in (path_lengths, traces, circuit_length):
+            assert outcome(lambda: read(s)) == outcome(lambda: read(c))
+        for k in range(1, s.n):
+            assert outcome(lambda: trace(s, k)) == outcome(lambda: trace(c, k))
+
+    @given(edge_terms_strategy)
+    @settings(max_examples=150)
+    def test_reads_match_circuit_at_int64_edge(self, terms):
+        self.assert_reads_agree(terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [0, (1 << 62) - 1, 0, (1 << 62) - 1, 0],
+            [0, 2**62, 0, 0],
+            [-(1 << 62), 1 << 62],
+            [0, -(2**63)],
+            [5, 6, -(2**63), 1],
+        ],
+    )
+    def test_reads_match_circuit_on_overflow_inputs(self, terms):
+        self.assert_reads_agree(terms)
+
+    def test_rows_stream_in_two_buffers(self):
+        rows = _rows(PRIMES5)
+        bases = set()
+        got = []
+        for row in rows:
+            got.append(row.tolist())
+            bases.add(id(row.base if row.base is not None else row))
+        assert got == [[1, 2, 2, 4], [1, 0, 2], [1, 2], [1]]
+        assert len(bases) == 2
+
+
+class TestCircuitCellLimit:
+    def test_refused_before_allocating(self, monkeypatch):
+        o = Originator(np.arange(30000))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(RangeError) as exc:
+            build_circuit(o)
+        assert str(exc.value) == (
+            "a circuit of 30000 terms would hold 449985000 cells, over the limit "
+            f"of {CIRCUIT_CELL_LIMIT}"
+        )
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(triangle, "CIRCUIT_CELL_LIMIT", 10)
+        assert build_circuit(PRIMES5).segment_count == 10
+        with pytest.raises(RangeError, match="6 terms would hold 15 cells"):
+            build_circuit(first_n_primes(6))
