@@ -5,6 +5,12 @@ arithmetic (no tolerances, no floats) and returns a BoundReport carrying the
 numbers, the verdict, and any witnesses.  Checks whose statement has a
 hypothesis record it in ``precondition_met``; a report with an unmet
 hypothesis is vacuous and is excluded from aggregate pass/fail counts.
+
+Checks read the circuit's cached summary (``Circuit._summary``): row sums,
+extremes and edge entries, column traces and minima, all from one pass over
+the rows.  So ``run_all_checks`` also runs on a row-less stand-in that only
+streams the rows, in O(n) memory.  Only a small-segment check whose cap is
+below the row's first entry reads the row itself.
 """
 
 from __future__ import annotations
@@ -58,19 +64,26 @@ def _require_order(k: int, hi: int) -> None:
 
 
 def _edge_gap(c: Circuit, k: int) -> int:
-    """|last-reachable minus first segment| of row k-1: the lower-bound seed."""
-    prev = c.row(k - 1)
-    return abs(int(prev[c.n - k - 1]) - int(prev[0]))
+    """|last-reachable minus first segment| of row k-1: the lower-bound seed.
+
+    Row k-1 holds n-k+1 segments, so the last reachable one is its
+    second-to-last.
+    """
+    if k == 1:
+        a = c.originator.terms
+        return abs(int(a[c.n - 2]) - int(a[0]))
+    summary = c._summary()
+    return abs(summary.second_lasts[k - 2] - summary.firsts[k - 2])
 
 
 def _row_length(c: Circuit, k: int) -> int:
-    return _fit(c._tally().row_sums[k - 1], "path length")
+    return _fit(c._summary().tally.row_sums[k - 1], "path length")
 
 
 def _sandwich_terms(c: Circuit) -> tuple[int, list[int]]:
     """Both sandwich checks' lower bound and row maxima (M_k = max delta of row k-1)."""
     lower = (c.n - 2) * min(_edge_gap(c, k) for k in range(1, c.n - 1))
-    return lower, c._tally().row_maxima
+    return lower, c._summary().tally.row_maxima
 
 
 def _panel_integral(maxima: list[int]) -> int:
@@ -96,7 +109,7 @@ def check_length_bounds(c: Circuit, k: int) -> BoundReport:
     """
     _require_order(k, c.n - 1)
     lower = _edge_gap(c, k)
-    upper = (c.n - k) * c._tally().row_maxima[k - 1]
+    upper = (c.n - k) * c._summary().tally.row_maxima[k - 1]
     length = _row_length(c, k)
     return BoundReport(
         name=f"length_bounds(k={k})",
@@ -117,11 +130,16 @@ def check_small_segment_existence(c: Circuit, k: int, cap: int) -> BoundReport:
     _require_order(k, c.n - 1)
     if cap < 1:
         raise RangeError(f"cap must be positive, got {cap}")
-    row = c.row(k)
-    precondition = c._tally().row_maxima[k - 1] <= cap
-    smallest = int(row.min())
+    summary = c._summary()
+    precondition = summary.tally.row_maxima[k - 1] <= cap
+    smallest = summary.row_minima[k - 1]
+    first = summary.firsts[k - 1]
     witnesses: tuple[tuple[int, int], ...] = ()
-    if smallest <= cap:
+    if first <= cap:
+        witnesses = ((1, first),)
+    elif smallest <= cap:
+        # Only a cap below the row's first segment needs the row itself.
+        row = c.row(k)
         m = int((row <= cap).argmax()) + 1
         witnesses = ((m, int(row[m - 1])),)
     return BoundReport(
@@ -145,9 +163,7 @@ def check_monotone_length_decrease(c: Circuit, k: int) -> BoundReport:
     """
     _require_order(k, c.n - 2)
     t = c.n - k
-    row_k = c.row(k)
-    row_next = c.row(k + 1)
-    precondition = bool((row_next <= row_k[1:]).all())
+    precondition = c._summary().narrowing[k - 1]
     shorter = _row_length(c, k + 1)
     longer = _row_length(c, k)
     return BoundReport(
@@ -195,7 +211,8 @@ def check_trace_recurrence(c: Circuit, s: int) -> BoundReport:
     _require_segment(s, n - 2)
     a = c.originator.terms
     lhs = 2 * trace(c, s)
-    rhs = (int(a[s]) - int(a[s - 1])) + c.segment(s, n - s) + trace(c, s + 1)
+    deepest = c._summary().lasts[n - s - 1]
+    rhs = (int(a[s]) - int(a[s - 1])) + deepest + trace(c, s + 1)
     return BoundReport(
         name=f"trace_recurrence(s={s})",
         lhs=lhs,
@@ -247,7 +264,8 @@ def check_trace_circuit_theorem(c: Circuit) -> BoundReport:
         raise RangeError(f"the trace-circuit bound needs at least three terms, got {n}")
     a = c.originator.terms
     a_1, a_last, a_prev = int(a[0]), int(a[n - 1]), int(a[n - 2])
-    diagonal = sum(c.segment(j, n - j) for j in range(1, n - 1))
+    # Segment j of row n-j is that row's last, for j = 1..n-2.
+    diagonal = sum(c._summary().lasts[1:])
     lhs = circuit_length(c) + trace(c, 1)
     rhs = (2 * a_last - a_prev - a_1) + diagonal
     return BoundReport(
@@ -268,12 +286,12 @@ def check_zero_existence(c: Circuit, s: int) -> BoundReport:
     n = c.n
     _require_segment(s, n - 1)
     tau = trace(c, s)
-    column = c.column(s)
+    summary = c._summary()
     # Rows 1.. hold no negative segment, so a zero is the column minimum.
-    smallest = int(column.min())
+    smallest = summary.column_minima[s - 1]
     witnesses: tuple[tuple[int, int], ...] = ()
     if smallest == 0:
-        witnesses = ((int(column.argmin()) + 1, 0),)
+        witnesses = ((summary.column_argmins[s - 1], 0),)
     return BoundReport(
         name=f"zero_existence(s={s})",
         lhs=smallest,
@@ -293,14 +311,12 @@ def check_strong_gilbreath(c: Circuit) -> BoundReport:
     precondition with a failing conclusion marks an internal inconsistency.
     """
     n = c.n
-    leaders = c.column(1)
+    leaders = c._summary().firsts
     tau_1 = trace(c, 1)
-    precondition = bool((leaders > 0).all()) and tau_1 == n - 1
-    holds = bool((leaders == 1).all())
-    witnesses: tuple[tuple[int, int], ...] = ()
-    if not holds:
-        k_bad = int((leaders != 1).argmax()) + 1
-        witnesses = ((k_bad, int(leaders[k_bad - 1])),)
+    precondition = min(leaders) > 0 and tau_1 == n - 1
+    bad = next(((k, v) for k, v in enumerate(leaders, start=1) if v != 1), None)
+    holds = bad is None
+    witnesses: tuple[tuple[int, int], ...] = () if holds else (bad,)
     extra = None
     if precondition and not holds:
         extra = {"internal_inconsistency": True}
@@ -332,10 +348,11 @@ def run_all_checks(c: Circuit) -> list[BoundReport]:
     """Every check over every valid order and segment index, in a fixed order.
 
     The small-segment check is driven with cap = max(row max, 1) so its
-    hypothesis is satisfiable on every row including all-zero ones.
+    hypothesis is satisfiable on every row including all-zero ones, and its
+    witness is the row's first segment.
     """
     n = c.n
-    maxima = c._tally().row_maxima
+    maxima = c._summary().tally.row_maxima
     reports: list[BoundReport] = []
     for k in range(1, n):
         reports.append(check_length_bounds(c, k))

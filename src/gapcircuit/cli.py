@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from functools import partial
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import sieve
 from .bounds import BoundReport, is_equality_case, run_all_checks, summarize
@@ -29,6 +30,7 @@ from .originator import (
     random_generalized,
 )
 from .triangle import (
+    _circuit_cells,
     _StreamedCircuit,
     build_circuit,
     circuit_length,
@@ -48,21 +50,31 @@ from .verifier import (
 
 DEFAULT_TRIANGLE_CAP = 10_000
 
-
-def _emit(body: str) -> None:
-    if not body.endswith("\n"):
-        body += "\n"
-    sys.stdout.write(body)
+# Encoder chunks joined per write: the rendered JSON is never held whole.
+JSON_BATCH_CHUNKS = 4096
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2)
+def _emit_lines(lines: Iterable[str]) -> None:
+    for line in lines:
+        sys.stdout.write(line)
+        sys.stdout.write("\n")
 
 
-def _csv(rows: list[list]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _emit_json(payload) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline, a batch at a time.
+
+    A ``BoundReport`` in the payload is turned into its JSON dict only as it
+    is written, so the dicts of a long report list are never held together.
+    """
+    encoder = json.JSONEncoder(indent=2, default=BoundReport.to_json_dict)
+    chunks = encoder.iterencode(payload)
+    while batch := list(islice(chunks, JSON_BATCH_CHUNKS)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
+
+
+def _emit_csv(rows: Iterable[list]) -> None:
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _flag(value: bool) -> str:
@@ -113,23 +125,26 @@ def _gate_triangle_size(o: Originator, cap: int) -> None:
         )
 
 
-def _render_triangle_text(rows: list[list[int]]) -> str:
-    width = max(len(str(v)) for row in rows for v in row)
-    lines = [" ".join(str(v).ljust(width) for v in row) for row in rows]
-    return "\n".join(lines)
+def _triangle_text(c) -> Iterator[str]:
+    """Every row, the originator first, in columns as wide as the widest value."""
+    terms = c.originator.terms
+    # No derived segment exceeds row 1's maximum: |x - y| <= max(x, y).
+    widest = (int(terms.min()), int(terms.max()), int(c.row(1).max()))
+    width = max(len(str(v)) for v in widest)
+    for k in range(c.n):
+        yield " ".join(str(v).ljust(width) for v in c.row(k).tolist())
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:
     o = _resolve_originator(args)
     _gate_triangle_size(o, args.cap)
     c = build_circuit(o)
-    derived = [c.row(k).tolist() for k in range(1, c.n)]
     if args.format == "json":
-        _emit(_json({"n": c.n, "rows": derived}))
+        _emit_json({"n": c.n, "rows": [c.row(k).tolist() for k in range(1, c.n)]})
     elif args.format == "csv":
-        _emit("\n".join(",".join(map(str, row)) for row in derived))
+        _emit_csv(c.row(k).tolist() for k in range(1, c.n))
     else:
-        _emit(_render_triangle_text([o.terms.tolist()] + derived))
+        _emit_lines(_triangle_text(c))
     return 0
 
 
@@ -142,16 +157,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     kappa = circuit_length(c)
     steps = total_maximal_steps(c.n)
     if args.format == "json":
-        _emit(
-            _json(
-                {
-                    "n": c.n,
-                    "total_maximal_steps": steps,
-                    "circuit_length": kappa,
-                    "path_lengths": iotas,
-                    "traces": taus,
-                }
-            )
+        _emit_json(
+            {
+                "n": c.n,
+                "total_maximal_steps": steps,
+                "circuit_length": kappa,
+                "path_lengths": iotas,
+                "traces": taus,
+            }
         )
     elif args.format == "csv":
         rows: list[list] = [["statistic", "index", "value"]]
@@ -160,18 +173,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
         rows.append(["circuit_length", "", kappa])
         rows.extend(["path_length", k, v] for k, v in enumerate(iotas, start=1))
         rows.extend(["trace", s, v] for s, v in enumerate(taus, start=1))
-        _emit(_csv(rows))
+        _emit_csv(rows)
     else:
-        _emit(
-            "\n".join(
-                [
-                    f"n = {c.n}",
-                    f"total_maximal_steps = {steps}",
-                    f"circuit_length = {kappa}",
-                    "path_lengths: " + " ".join(map(str, iotas)),
-                    "traces: " + " ".join(map(str, taus)),
-                ]
-            )
+        _emit_lines(
+            [
+                f"n = {c.n}",
+                f"total_maximal_steps = {steps}",
+                f"circuit_length = {kappa}",
+                "path_lengths: " + " ".join(map(str, iotas)),
+                "traces: " + " ".join(map(str, taus)),
+            ]
         )
     return 0
 
@@ -190,56 +201,47 @@ def _witness_cell(r: BoundReport) -> str:
     return ";".join(f"{i}:{v}" for i, v in r.witnesses)
 
 
+def _check_csv(reports: list[BoundReport]) -> Iterator[list]:
+    yield ["name", "lhs", "middle", "rhs", "holds", "precondition_met", "witnesses", "extra"]
+    for r in reports:
+        yield [
+            r.name,
+            r.lhs,
+            "" if r.middle is None else r.middle,
+            r.rhs,
+            _flag(r.holds),
+            _flag(r.precondition_met),
+            _witness_cell(r),
+            json.dumps(r.extra, separators=(",", ":")) if r.extra else "",
+        ]
+
+
+def _check_text(reports: list[BoundReport], summary: dict[str, int]) -> Iterator[str]:
+    for r in reports:
+        middle = f" middle={r.middle}" if r.middle is not None else ""
+        yield f"{_report_status(r):<8} {r.name}: lhs={r.lhs}{middle} rhs={r.rhs}"
+    yield "summary: checked={checked} held={held} vacuous={vacuous} failed={failed}".format(
+        **summary
+    )
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     o = _resolve_originator(args)
     _gate_triangle_size(o, args.cap)
-    c = build_circuit(o)
-    reports = run_all_checks(c)
+    # No circuit is built, but check keeps the limit that triangle has.
+    _circuit_cells(o.n)
+    reports = run_all_checks(_StreamedCircuit(o))
     summary = summarize(reports)
     if args.format == "json":
-        _emit(
-            _json(
-                {
-                    "reports": [r.to_json_dict() for r in reports],
-                    "summary": summary,
-                }
-            )
-        )
+        _emit_json({"reports": reports, "summary": summary})
     elif args.format == "csv":
-        rows: list[list] = [
-            ["name", "lhs", "middle", "rhs", "holds", "precondition_met", "witnesses", "extra"]
-        ]
-        for r in reports:
-            rows.append(
-                [
-                    r.name,
-                    r.lhs,
-                    "" if r.middle is None else r.middle,
-                    r.rhs,
-                    _flag(r.holds),
-                    _flag(r.precondition_met),
-                    _witness_cell(r),
-                    json.dumps(r.extra, separators=(",", ":")) if r.extra else "",
-                ]
-            )
-        _emit(_csv(rows))
+        _emit_csv(_check_csv(reports))
     else:
-        lines = []
-        for r in reports:
-            middle = f" middle={r.middle}" if r.middle is not None else ""
-            lines.append(
-                f"{_report_status(r):<8} {r.name}: lhs={r.lhs}{middle} rhs={r.rhs}"
-            )
-        lines.append(
-            "summary: checked={checked} held={held} vacuous={vacuous} failed={failed}".format(
-                **summary
-            )
-        )
-        _emit("\n".join(lines))
+        _emit_lines(_check_text(reports, summary))
     return 0 if summary["failed"] == 0 else 1
 
 
-def _verify_text(report: VerifyReport, timing: bool) -> str:
+def _verify_text(report: VerifyReport, timing: bool) -> list[str]:
     failure = (
         f"k={report.first_failure[0]} value={report.first_failure[1]}"
         if report.first_failure
@@ -256,7 +258,7 @@ def _verify_text(report: VerifyReport, timing: bool) -> str:
     ]
     if timing:
         lines.append(f"elapsed_ms = {round(report.elapsed * 1000.0, 3)}")
-    return "\n".join(lines)
+    return lines
 
 
 def _verify(args: argparse.Namespace) -> VerifyReport:
@@ -278,7 +280,7 @@ def _verify(args: argparse.Namespace) -> VerifyReport:
 def cmd_verify(args: argparse.Namespace) -> int:
     report = _verify(args)
     if args.format == "json":
-        _emit(_json(report.to_json_dict(timing=args.timing)))
+        _emit_json(report.to_json_dict(timing=args.timing))
     elif args.format == "csv":
         header = [
             "n",
@@ -301,13 +303,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.timing:
             header.append("elapsed_ms")
             row.append(round(report.elapsed * 1000.0, 3))
-        _emit(_csv([header, row]))
+        _emit_csv([header, row])
     else:
-        _emit(_verify_text(report, args.timing))
+        _emit_lines(_verify_text(report, args.timing))
     return 0 if report.all_ones else 1
 
 
-def _search_text(report: SearchReport, timing: bool) -> str:
+def _search_text(report: SearchReport, timing: bool) -> list[str]:
     lines = [
         f"n = {report.n}",
         f"g_max = {report.g_max}",
@@ -334,7 +336,7 @@ def _search_text(report: SearchReport, timing: bool) -> str:
         lines.append("examples: none")
     if timing:
         lines.append(f"elapsed_ms = {round(report.elapsed * 1000.0, 3)}")
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -347,7 +349,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         dump_dir=args.dump_dir,
     )
     if args.format == "json":
-        _emit(_json(report.to_json_dict(timing=args.timing)))
+        _emit_json(report.to_json_dict(timing=args.timing))
     elif args.format == "csv":
         header = [
             "n",
@@ -372,9 +374,9 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.timing:
             header.append("elapsed_ms")
             row.append(round(report.elapsed * 1000.0, 3))
-        _emit(_csv([header, row]))
+        _emit_csv([header, row])
     else:
-        _emit(_search_text(report, args.timing))
+        _emit_lines(_search_text(report, args.timing))
     return 0
 
 

@@ -10,7 +10,9 @@ column s.
 
 Statistics are read from one cached tally of the rows, whose sums add 31-bit
 limbs: exact for any int64 input, they raise only when read outside int64.
-The tally reads rows either from a circuit or from a stream that derives
+The checks of ``bounds`` read a cached summary instead: the tally plus each
+row's minimum and edge entries and each column's minimum, filled in the same
+pass.  Both read rows either from a circuit or from a stream that derives
 them in two reused buffers, which needs O(n) memory and no circuit.
 """
 
@@ -200,38 +202,123 @@ def _tally_rows(rows: Iterable[np.ndarray], n: int) -> _Tally:
     return _Tally(row_sums, row_maxima, traces)
 
 
-class _StreamedCircuit:
-    """The ``n`` and ``_tally()`` of a circuit, tallied from streamed rows.
+class _Summary(NamedTuple):
+    """The tally plus what the checks read of each row and column.
 
-    ``path_lengths``, ``traces``, ``trace`` and ``circuit_length`` read it as
-    they read a ``Circuit``; no row is kept.  The first derivation, and with
-    it any ``Int64OverflowError``, happens at the first statistic read.
+    Row fields hold entry k-1 for row k.  ``second_lasts`` stops at row n-2,
+    the last row with two segments; ``narrowing[k-1]`` tells whether
+    row k+1 <= row k[1:] entrywise, for k = 1..n-2.  Column fields hold entry
+    s-1 for segment s: its minimum and the first row that reaches it.
     """
 
-    __slots__ = ("originator", "n", "_cached_tally")
+    tally: _Tally
+    row_minima: list[int]
+    firsts: list[int]
+    second_lasts: list[int]
+    lasts: list[int]
+    narrowing: list[bool]
+    column_minima: list[int]
+    column_argmins: list[int]
+
+
+def _summarize_rows(rows: Iterable[np.ndarray], n: int) -> _Summary:
+    """The summary of rows 1..n-1, read once in order by the tally's loop."""
+    row_minima, firsts, second_lasts, lasts, narrowing = [], [], [], [], []
+    column_minima = np.full(n - 1, I64_MAX, dtype=np.int64)
+    column_argmins = np.ones(n - 1, dtype=np.int64)
+    mask = np.empty(n - 1, dtype=bool)
+
+    def read() -> Iterator[np.ndarray]:
+        previous = None
+        for k, row in enumerate(rows, start=1):
+            m = row.size
+            row_minima.append(int(row.min()))
+            firsts.append(int(row[0]))
+            lasts.append(int(row[-1]))
+            if m > 1:
+                second_lasts.append(int(row[-2]))
+            if previous is not None:
+                # A row stream still holds row k-1 when it yields row k.
+                np.less_equal(row, previous[1:], out=mask[:m])
+                narrowing.append(bool(mask[:m].all()))
+            if np.less(row, column_minima[:m], out=mask[:m]).any():
+                np.copyto(column_minima[:m], row, where=mask[:m])
+                np.copyto(column_argmins[:m], k, where=mask[:m])
+            previous = row
+            yield row
+
+    tally = _tally_rows(read(), n)
+    return _Summary(
+        tally,
+        row_minima,
+        firsts,
+        second_lasts,
+        lasts,
+        narrowing,
+        column_minima.tolist(),
+        column_argmins.tolist(),
+    )
+
+
+class _Tallied:
+    """The cached tally and summary of rows 1..n-1, each from one pass.
+
+    A cached summary serves tally reads too, so reading the summary first
+    derives the rows once.
+    """
+
+    __slots__ = ("_cached_tally", "_cached_summary")
+
+    def _derived_rows(self) -> Iterator[np.ndarray]:
+        raise NotImplementedError
+
+    def _tally(self) -> _Tally:
+        """Row sums, row maxima and traces."""
+        if self._cached_summary is not None:
+            return self._cached_summary.tally
+        if self._cached_tally is None:
+            self._cached_tally = _tally_rows(self._derived_rows(), self.n)
+        return self._cached_tally
+
+    def _summary(self) -> _Summary:
+        if self._cached_summary is None:
+            self._cached_summary = _summarize_rows(self._derived_rows(), self.n)
+        return self._cached_summary
+
+
+class _StreamedCircuit(_Tallied):
+    """The ``n``, ``_tally()`` and ``_summary()`` of a circuit, from streamed rows.
+
+    ``path_lengths``, ``traces``, ``trace``, ``circuit_length`` and the checks
+    that ``run_all_checks`` drives read it as they read a ``Circuit``; no row
+    is kept.  The first derivation, and with it any ``Int64OverflowError``,
+    happens at the first statistic read.
+    """
+
+    __slots__ = ("originator", "n")
 
     def __init__(self, originator: Originator):
         self.originator = originator
         self.n = originator.n
         self._cached_tally: _Tally | None = None
+        self._cached_summary: _Summary | None = None
 
-    def _tally(self) -> _Tally:
-        if self._cached_tally is None:
-            self._cached_tally = _tally_rows(_rows(self.originator), self.n)
-        return self._cached_tally
+    def _derived_rows(self) -> Iterator[np.ndarray]:
+        return _rows(self.originator)
 
 
-class Circuit:
+class Circuit(_Tallied):
     """All maximal-step paths of orders 1..n-1 from one seed sequence.
 
     Rows live in a single contiguous triangular buffer of n(n-1)/2 segments;
     row k holds exactly n-k segments and is the absolute difference of row
     k-1; rows are slices of it and columns gather through the row offsets.
-    Immutable after construction apart from the cached tally, and safe to
-    share across threads: threads that race to fill it compute the same one.
+    Immutable after construction apart from the cached tally and summary, and
+    safe to share across threads: threads that race to fill one compute the
+    same one.
     """
 
-    __slots__ = ("originator", "_flat", "_starts", "_cached_tally")
+    __slots__ = ("originator", "_flat", "_starts")
 
     def __init__(self, originator: Originator, flat: np.ndarray):
         self.originator = originator
@@ -240,13 +327,10 @@ class Circuit:
         before = np.arange(originator.n, dtype=np.int64)
         self._starts = before * originator.n - before * (before + 1) // 2
         self._cached_tally: _Tally | None = None
+        self._cached_summary: _Summary | None = None
 
-    def _tally(self) -> _Tally:
-        """Row sums, row maxima and traces, from one pass over rows 1..n-1."""
-        if self._cached_tally is None:
-            rows = (self.row(k) for k in range(1, self.n))
-            self._cached_tally = _tally_rows(rows, self.n)
-        return self._cached_tally
+    def _derived_rows(self) -> Iterator[np.ndarray]:
+        return (self.row(k) for k in range(1, self.n))
 
     @property
     def n(self) -> int:
@@ -287,6 +371,17 @@ class Circuit:
         return f"Circuit(n={self.n}, segments={self.segment_count})"
 
 
+def _circuit_cells(n: int) -> int:
+    """The n(n-1)/2 segments of an n-term circuit, or ``RangeError`` above the limit."""
+    cells = n * (n - 1) // 2
+    if cells > CIRCUIT_CELL_LIMIT:
+        raise RangeError(
+            f"a circuit of {n} terms would hold {cells} cells, over the limit "
+            f"of {CIRCUIT_CELL_LIMIT}"
+        )
+    return cells
+
+
 def build_circuit(o: Originator) -> Circuit:
     """Materialize the whole circuit in one pass, each row from its predecessor.
 
@@ -296,13 +391,7 @@ def build_circuit(o: Originator) -> Circuit:
     n = o.n
     if n < 2:
         raise RangeError(f"a circuit needs at least two terms, got {n}")
-    cells = n * (n - 1) // 2
-    if cells > CIRCUIT_CELL_LIMIT:
-        raise RangeError(
-            f"a circuit of {n} terms would hold {cells} cells, over the limit "
-            f"of {CIRCUIT_CELL_LIMIT}"
-        )
-    flat = np.empty(cells, dtype=np.int64)
+    flat = np.empty(_circuit_cells(n), dtype=np.int64)
     c = Circuit(o, flat)
     flat[: n - 1] = _abs_diff_checked(o.terms)
     for k in range(2, n):

@@ -113,6 +113,32 @@ def row_maxima(terms):
     return [max(row) for row in triangle_rows(terms)]
 
 
+def row_edges(terms):
+    """(minimum, first, second-to-last or None, last) of every derived row."""
+    return [
+        (min(row), row[0], row[-2] if len(row) > 1 else None, row[-1])
+        for row in triangle_rows(terms)
+    ]
+
+
+def narrowing(terms):
+    """For k = 1..n-2: whether every d_j of row k+1 is <= d_{j+1} of row k."""
+    rows = triangle_rows(terms)
+    return [
+        all(rows[k][j] <= rows[k - 1][j + 1] for j in range(len(rows[k])))
+        for k in range(1, len(rows))
+    ]
+
+
+def column_minima(terms):
+    """(minimum, first 1-based row holding it) of every column s = 1..n-1."""
+    minima = []
+    for s in range(1, len(terms)):
+        col = column(terms, s)
+        minima.append((min(col), col.index(min(col)) + 1))
+    return minima
+
+
 def panel_integral(terms):
     """Direct double loop over unit panels: sum_{u=1..n-2} sum_{s=1..u} M_s."""
     maxima = row_maxima(terms)

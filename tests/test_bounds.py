@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracle
 from gapcircuit import (
+    Int64OverflowError,
     Originator,
     RandomModel,
     RangeError,
@@ -26,6 +27,8 @@ from gapcircuit import (
     summarize,
 )
 from gapcircuit.bounds import is_equality_case
+from gapcircuit.triangle import _StreamedCircuit
+from test_triangle import edge_terms_strategy, outcome, terms_strategy
 
 PRIMES5 = build_circuit(Originator([2, 3, 5, 7, 11]))
 CONSTANT = build_circuit(Originator([4, 4, 4, 4]))
@@ -384,3 +387,71 @@ class TestSuite:
                     f"non-vacuous failure for seed {seed}; sequence dumped "
                     f"to {destination}"
                 )
+
+
+class TestStreamedChecks:
+    """run_all_checks reports alike on a circuit and on its streamed rows."""
+
+    def assert_reports_agree(self, terms):
+        o = Originator(terms)
+        want = outcome(lambda: run_all_checks(build_circuit(o)))
+        assert outcome(lambda: run_all_checks(_StreamedCircuit(o))) == want
+        return want
+
+    @given(terms_strategy)
+    @settings(max_examples=60)
+    def test_random_terms(self, terms):
+        self.assert_reports_agree(terms)
+
+    @given(edge_terms_strategy)
+    @settings(max_examples=100)
+    def test_int64_edge(self, terms):
+        self.assert_reports_agree(terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[0, 1], [9, 4], [2, 3, 5], [0, 1, 1], [4, 4, 4], [5] * 6, [0, 2, 4], [1, 3, 7]],
+    )
+    def test_small_and_constant(self, terms):
+        assert isinstance(self.assert_reports_agree(terms), list)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [0, (1 << 62) - 1, 0, (1 << 62) - 1, 0],
+            [0, 2**62, 0, 0],
+            [-(1 << 62), 1 << 62],
+            [0, -(2**63)],
+            [5, 6, -(2**63), 1],
+        ],
+    )
+    def test_overflow_inputs(self, terms):
+        assert isinstance(self.assert_reports_agree(terms), tuple)
+
+    def test_wide_walk(self):
+        rng = np.random.default_rng(55)
+        terms = np.cumsum(rng.integers(-(2**55), 2**55, 3000)).tolist()
+        assert self.assert_reports_agree(terms)[0] is Int64OverflowError
+
+    def test_prime_prefix(self):
+        assert summarize(self.assert_reports_agree(oracle.first_primes(300)))["failed"] == 0
+
+
+class TestSmallSegmentCapBelowFirst:
+    @given(st.lists(st.integers(-20, 20), min_size=2, max_size=20))
+    @settings(max_examples=80)
+    def test_witness_matches_oracle_row(self, terms):
+        c = build_circuit(Originator(terms))
+        for k, row in enumerate(oracle.triangle_rows(terms), start=1):
+            for cap in range(1, max(row) + 2):
+                r = check_small_segment_existence(c, k, cap)
+                first = next(((m, v) for m, v in enumerate(row, start=1) if v <= cap), None)
+                assert r.witnesses == (() if first is None else (first,))
+                assert (r.lhs, r.holds) == (min(row), min(row) <= cap)
+                assert r.precondition_met == (max(row) <= cap)
+
+    def test_cap_below_first_reads_the_row(self):
+        # Row 1 of (0, 9, 10, 12) is 9, 1, 2: a cap of 2 is first met at m = 2.
+        r = check_small_segment_existence(build_circuit(Originator([0, 9, 10, 12])), 1, 2)
+        assert r.witnesses == ((2, 1),)
+        assert (r.lhs, r.holds, r.precondition_met) == (1, True, False)

@@ -4,7 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gapcircuit import cli, sieve, triangle
+import oracle
+from gapcircuit import (
+    Int64OverflowError,
+    Originator,
+    build_circuit,
+    cli,
+    run_all_checks,
+    sieve,
+    triangle,
+)
 from gapcircuit.cli import main
 
 
@@ -70,6 +79,26 @@ class TestTriangleCommand:
         )
         assert code == 0
         assert len(out.splitlines()) == 49
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [-100, 5, 3],
+            [999, -1],  # row 1's 1000 is the widest value
+            [7, -7],
+            [-5, -3],
+            [0, 12345, 3],
+            [3, 1, 4, 1, 5, 9, 2, 6],
+            [0, 2**62, 2**61],
+        ],
+    )
+    def test_text_width_fits_every_value(self, capsys, tmp_path, terms):
+        path = tmp_path / "terms.txt"
+        path.write_text("\n".join(map(str, terms)) + "\n")
+        rows = [terms] + oracle.triangle_rows(terms)
+        width = max(len(str(v)) for row in rows for v in row)
+        want = "".join(" ".join(str(v).ljust(width) for v in row) + "\n" for row in rows)
+        assert run_cli(capsys, "triangle", "--file", str(path), "--format", "text") == (0, want, "")
 
 
 class TestStatsCommand:
@@ -176,6 +205,72 @@ class TestCircuitCellLimit:
             "limit of 268435456\n",
         )
         assert peak < 8 * 2**20
+
+
+class TestStreamedCheck:
+    """check runs every relation on streamed rows: no circuit, O(n) memory."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_same_output_without_a_circuit(self, capsys, monkeypatch, fmt):
+        argv = ["check", "--primes", "500", "--format", fmt]
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_StreamedCircuit", cli.build_circuit)
+            want = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "build_circuit", _refuse_circuit)
+        monkeypatch.setattr(triangle, "Circuit", _refuse_circuit)
+        assert want[0] == 0
+        assert run_cli(capsys, *argv) == want
+
+    def test_peak_memory_below_half_the_triangle(self, capsys, monkeypatch):
+        # the triangle of 3000 terms holds 3000 * 2999 / 2 int64 cells: 36 MB
+        monkeypatch.setattr(cli, "build_circuit", _refuse_circuit)
+        monkeypatch.setattr(triangle, "Circuit", _refuse_circuit)
+        tracemalloc.start()
+        try:
+            code = main(["check", "--primes", "3000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["checked"] == 5 * 3000 - 2
+        assert peak < 36e6 / 2
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[0, (1 << 62) - 1, 0, (1 << 62) - 1, 0], [0, 2**62, 0, 0], [0, -(2**63)], [5, 6, -(2**63), 1]],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_overflow_prints_nothing(self, capsys, tmp_path, terms, fmt):
+        path = tmp_path / "terms.txt"
+        path.write_text("\n".join(map(str, terms)) + "\n")
+        with pytest.raises(Int64OverflowError) as exc:
+            run_all_checks(build_circuit(Originator(terms)))
+        code, out, err = run_cli(capsys, "check", "--file", str(path), "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
+class TestJsonWriter:
+    PAYLOADS = [
+        {"n": 3, "rows": [[1, 2], [1]], "empty": [], "nested": {}, "none": None},
+        {"reports": [{"holds": True, "extra": {"cap": 2**70}}], "rate": 0.25, "text": "é\"\n"},
+        [],
+        {},
+        [1, [2, [3, []]], {"a": {"b": [False]}}],
+    ]
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, cli.JSON_BATCH_CHUNKS])
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_bytes_equal_json_dumps(self, capsys, monkeypatch, batch, payload):
+        monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", batch)
+        cli._emit_json(payload)
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    def test_check_report_bytes(self, capsys, monkeypatch, batch):
+        want = run_cli(capsys, "check", "--primes", "30")
+        monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", batch)
+        assert run_cli(capsys, "check", "--primes", "30") == want
+        assert want[1] == json.dumps(json.loads(want[1]), indent=2) + "\n"
 
 
 class TestCheckCommand:

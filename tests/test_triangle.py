@@ -499,6 +499,53 @@ class TestStreamedTally:
         assert len(bases) == 2
 
 
+class TestSummary:
+    """The summary of streamed rows equals the circuit's and the oracle's."""
+
+    def assert_summaries_agree(self, terms):
+        s = streamed(terms)._summary()
+        assert s == build_circuit(Originator(terms))._summary()
+        assert s.tally == streamed(terms)._tally()
+        edges = oracle.row_edges(terms)
+        assert s.row_minima == [e[0] for e in edges]
+        assert s.firsts == [e[1] for e in edges]
+        assert s.second_lasts == [e[2] for e in edges[:-1]]
+        assert s.lasts == [e[3] for e in edges]
+        assert s.narrowing == oracle.narrowing(terms)
+        assert list(zip(s.column_minima, s.column_argmins)) == oracle.column_minima(terms)
+
+    @given(terms_strategy)
+    @settings(max_examples=80)
+    def test_matches_circuit_and_oracle(self, terms):
+        self.assert_summaries_agree(terms)
+
+    @given(edge_terms_strategy)
+    @settings(max_examples=150)
+    def test_matches_at_int64_edge(self, terms):
+        if max(oracle.triangle_rows(terms)[0]) > I64_MAX:
+            return
+        self.assert_summaries_agree(terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[9, 4], [2, 3, 5], [0, 0], [4, 4, 4], [5] * 6, [0, 2**63 - 1, 0], [2**63 - 1, 0, 2**63 - 1]],
+    )
+    def test_small_constant_and_extreme(self, terms):
+        # A column whose minimum is 2^63 - 1 keeps row 1 as its first.
+        self.assert_summaries_agree(terms)
+
+    def test_tally_reads_the_cached_summary(self, monkeypatch):
+        s = streamed(oracle.first_primes(50))
+        summary = s._summary()
+        monkeypatch.setattr(triangle, "_tally_rows", None)
+        assert s._tally() is summary.tally
+
+    def test_overflow_raises_at_first_read(self):
+        s = streamed([5, 6, -(2**63), 1])
+        with pytest.raises(Int64OverflowError, match=r"segment \|-9223372036854775808 - 6\|"):
+            s._summary()
+
+
 class TestCircuitCellLimit:
     def test_refused_before_allocating(self, monkeypatch):
         o = Originator(np.arange(30000))
