@@ -6,11 +6,11 @@ numbers, the verdict, and any witnesses.  Checks whose statement has a
 hypothesis record it in ``precondition_met``; a report with an unmet
 hypothesis is vacuous and is excluded from aggregate pass/fail counts.
 
-Checks read the circuit's cached summary (``Circuit._summary``): row sums,
-extremes and edge entries, column traces and minima, all from one pass over
-the rows.  So ``run_all_checks`` also runs on a row-less stand-in that only
-streams the rows, in O(n) memory.  Only a small-segment check whose cap is
-below the row's first entry reads the row itself.
+Checks read only the originator and the circuit's cached summary
+(``_summary()``): row sums, extremes and edge entries, column traces and
+minima, all from one pass over streamed rows.  So ``run_all_checks`` runs in
+O(n) memory on any circuit, held or streamed.  A small-segment check whose
+cap is below the row's first entry derives that one row again.
 """
 
 from __future__ import annotations
@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import RangeError
-from .triangle import Circuit, _fit, _require_segment, circuit_length, trace, traces
+from .triangle import (
+    Circuit,
+    _fit,
+    _require_segment,
+    circuit_length,
+    path_of_order,
+    trace,
+    traces,
+)
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,8 @@ def check_small_segment_existence(c: Circuit, k: int, cap: int) -> BoundReport:
     if first <= cap:
         witnesses = ((1, first),)
     elif smallest <= cap:
-        # Only a cap below the row's first segment needs the row itself.
-        row = c.row(k)
+        # Only a cap below the row's first segment needs the row's entries.
+        row = path_of_order(c.originator, k).segments
         m = int((row <= cap).argmax()) + 1
         witnesses = ((m, int(row[m - 1])),)
     return BoundReport(

@@ -2,7 +2,8 @@
 
 Every command reads one originator (or, for search, a random model), writes
 one report to stdout in json, csv, or text form, and exits 0 on success,
-1 when the checked property fails, and 2 on usage or parameter errors.
+1 when the checked property fails, 2 on usage or parameter errors, and 141
+(128 + SIGPIPE) when the reader of stdout goes away.
 Output is deterministic for fixed flags: no timestamps, no wall-clock
 entropy; timing figures appear only under --timing.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from functools import partial
 from itertools import islice
@@ -30,8 +32,9 @@ from .originator import (
     random_generalized,
 )
 from .triangle import (
-    _circuit_cells,
+    SWEEP_CELL_LIMIT,
     _StreamedCircuit,
+    _triangle_cells,
     build_circuit,
     circuit_length,
     path_lengths,
@@ -116,13 +119,17 @@ def _resolve_originator(args: argparse.Namespace) -> Originator:
     return random_generalized(RandomModel(args.n, args.gmax, args.seed))
 
 
-def _gate_triangle_size(o: Originator, cap: int) -> None:
+def _require_two_terms(o: Originator) -> None:
     if o.n < 2:
         raise UsageError(f"a triangle needs at least two terms, got {o.n}")
-    if o.n > cap:
-        raise UsageError(
-            f"{o.n} terms exceeds the triangle cap of {cap}; raise it with --cap"
-        )
+
+
+def _streamed_circuit(o: Originator) -> _StreamedCircuit:
+    """The circuit of ``o`` as streamed rows, refused above ``SWEEP_CELL_LIMIT`` cells."""
+    _require_two_terms(o)
+    refusal = "the triangle of {n} terms would derive {cells} cells, over the limit of {limit}"
+    _triangle_cells(o.n, SWEEP_CELL_LIMIT, refusal)
+    return _StreamedCircuit(o)
 
 
 def _triangle_text(c) -> Iterator[str]:
@@ -137,7 +144,11 @@ def _triangle_text(c) -> Iterator[str]:
 
 def cmd_triangle(args: argparse.Namespace) -> int:
     o = _resolve_originator(args)
-    _gate_triangle_size(o, args.cap)
+    _require_two_terms(o)
+    if o.n > args.cap:
+        raise UsageError(
+            f"{o.n} terms exceeds the triangle cap of {args.cap}; raise it with --cap"
+        )
     c = build_circuit(o)
     if args.format == "json":
         _emit_json({"n": c.n, "rows": [c.row(k).tolist() for k in range(1, c.n)]})
@@ -149,9 +160,7 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    o = _resolve_originator(args)
-    _gate_triangle_size(o, args.cap)
-    c = _StreamedCircuit(o)
+    c = _streamed_circuit(_resolve_originator(args))
     iotas = path_lengths(c)
     taus = traces(c)
     kappa = circuit_length(c)
@@ -226,11 +235,7 @@ def _check_text(reports: list[BoundReport], summary: dict[str, int]) -> Iterator
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    o = _resolve_originator(args)
-    _gate_triangle_size(o, args.cap)
-    # No circuit is built, but check keeps the limit that triangle has.
-    _circuit_cells(o.n)
-    reports = run_all_checks(_StreamedCircuit(o))
+    reports = run_all_checks(_streamed_circuit(_resolve_originator(args)))
     summary = summarize(reports)
     if args.format == "json":
         _emit_json({"reports": reports, "summary": summary})
@@ -420,15 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: json)",
     )
 
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_TRIANGLE_CAP,
-        metavar="N",
-        help="largest originator to materialize as a triangle (default: %(default)s)",
-    )
-
     timing = argparse.ArgumentParser(add_help=False)
     timing.add_argument(
         "--timing",
@@ -438,21 +434,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "triangle",
-        parents=[source, fmt, cap],
+        parents=[source, fmt],
         help="print every derived row of the difference triangle",
+    )
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_TRIANGLE_CAP,
+        metavar="N",
+        help="largest originator to materialize as a triangle (default: %(default)s)",
     )
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser(
         "stats",
-        parents=[source, fmt, cap],
+        parents=[source, fmt],
         help="path lengths, circuit length, traces, and step counts",
     )
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(
         "check",
-        parents=[source, fmt, cap],
+        parents=[source, fmt],
         help="evaluate every bound and identity on the circuit",
     )
     p.set_defaults(func=cmd_check)
@@ -512,10 +515,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is then caught below, not at exit
+        return code
     except GapCircuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at nothing, so that the flush at
+        # exit cannot raise again, and exit as a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ Statistics are read from one cached tally of the rows, whose sums add 31-bit
 limbs: exact for any int64 input, they raise only when read outside int64.
 The checks of ``bounds`` read a cached summary instead: the tally plus each
 row's minimum and edge entries and each column's minimum, filled in the same
-pass.  Both read rows either from a circuit or from a stream that derives
-them in two reused buffers, which needs O(n) memory and no circuit.
+pass.  Both derive the rows afresh from the originator in two reused
+buffers, for a held circuit too, so they need O(n) memory and no circuit.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ from .originator import (
 # Most segments build_circuit materializes: 2 GiB of int64, five times the
 # triangle of the command line's default cap of 10^4 terms.
 CIRCUIT_CELL_LIMIT = 1 << 28
+
+# Most cells derived for a whole triangle that is not held: the naive sweep's,
+# and the streamed rows of the stats and check commands.  About 14 s at the
+# 1.2e9 cells per second the sweep reaches on a 2-CPU Xeon.
+SWEEP_CELL_LIMIT = 1 << 34
 
 
 def _abs_diff_checked(values: np.ndarray) -> np.ndarray:
@@ -260,81 +265,58 @@ def _summarize_rows(rows: Iterable[np.ndarray], n: int) -> _Summary:
     )
 
 
-class _Tallied:
-    """The cached tally and summary of rows 1..n-1, each from one pass.
+class _StreamedCircuit:
+    """The ``n``, ``_tally()`` and ``_summary()`` of a circuit, from streamed rows.
 
-    A cached summary serves tally reads too, so reading the summary first
-    derives the rows once.
+    The statistics and the checks of ``bounds`` read nothing else, so they run
+    on this base in O(n) memory.  Each cache is filled by one pass over rows
+    derived afresh from the originator, and a cached summary serves tally
+    reads too; threads that race to fill one compute the same one.  Any
+    ``Int64OverflowError`` is raised at the first statistic read.
     """
 
-    __slots__ = ("_cached_tally", "_cached_summary")
+    __slots__ = ("originator", "_cached_tally", "_cached_summary")
 
-    def _derived_rows(self) -> Iterator[np.ndarray]:
-        raise NotImplementedError
+    def __init__(self, originator: Originator):
+        self.originator = originator
+        self._cached_tally: _Tally | None = None
+        self._cached_summary: _Summary | None = None
+
+    @property
+    def n(self) -> int:
+        return self.originator.n
 
     def _tally(self) -> _Tally:
         """Row sums, row maxima and traces."""
         if self._cached_summary is not None:
             return self._cached_summary.tally
         if self._cached_tally is None:
-            self._cached_tally = _tally_rows(self._derived_rows(), self.n)
+            self._cached_tally = _tally_rows(_rows(self.originator), self.n)
         return self._cached_tally
 
     def _summary(self) -> _Summary:
         if self._cached_summary is None:
-            self._cached_summary = _summarize_rows(self._derived_rows(), self.n)
+            self._cached_summary = _summarize_rows(_rows(self.originator), self.n)
         return self._cached_summary
 
 
-class _StreamedCircuit(_Tallied):
-    """The ``n``, ``_tally()`` and ``_summary()`` of a circuit, from streamed rows.
-
-    ``path_lengths``, ``traces``, ``trace``, ``circuit_length`` and the checks
-    that ``run_all_checks`` drives read it as they read a ``Circuit``; no row
-    is kept.  The first derivation, and with it any ``Int64OverflowError``,
-    happens at the first statistic read.
-    """
-
-    __slots__ = ("originator", "n")
-
-    def __init__(self, originator: Originator):
-        self.originator = originator
-        self.n = originator.n
-        self._cached_tally: _Tally | None = None
-        self._cached_summary: _Summary | None = None
-
-    def _derived_rows(self) -> Iterator[np.ndarray]:
-        return _rows(self.originator)
-
-
-class Circuit(_Tallied):
+class Circuit(_StreamedCircuit):
     """All maximal-step paths of orders 1..n-1 from one seed sequence.
 
     Rows live in a single contiguous triangular buffer of n(n-1)/2 segments;
     row k holds exactly n-k segments and is the absolute difference of row
     k-1; rows are slices of it and columns gather through the row offsets.
-    Immutable after construction apart from the cached tally and summary, and
-    safe to share across threads: threads that race to fill one compute the
-    same one.
+    Immutable after construction apart from the cached tally and summary.
     """
 
-    __slots__ = ("originator", "_flat", "_starts")
+    __slots__ = ("_flat", "_starts")
 
     def __init__(self, originator: Originator, flat: np.ndarray):
-        self.originator = originator
+        super().__init__(originator)
         self._flat = flat
         # Row k spans [starts[k-1], starts[k]); rows 1..k-1 hold (k-1)n - (k-1)k/2.
         before = np.arange(originator.n, dtype=np.int64)
         self._starts = before * originator.n - before * (before + 1) // 2
-        self._cached_tally: _Tally | None = None
-        self._cached_summary: _Summary | None = None
-
-    def _derived_rows(self) -> Iterator[np.ndarray]:
-        return (self.row(k) for k in range(1, self.n))
-
-    @property
-    def n(self) -> int:
-        return self.originator.n
 
     @property
     def segment_count(self) -> int:
@@ -371,14 +353,14 @@ class Circuit(_Tallied):
         return f"Circuit(n={self.n}, segments={self.segment_count})"
 
 
-def _circuit_cells(n: int) -> int:
-    """The n(n-1)/2 segments of an n-term circuit, or ``RangeError`` above the limit."""
+def _triangle_cells(n: int, limit: int, refusal: str) -> int:
+    """The n(n-1)/2 cells of an n-term triangle, or ``RangeError`` above ``limit``.
+
+    ``refusal`` is the message, formatted with ``n``, ``cells`` and ``limit``.
+    """
     cells = n * (n - 1) // 2
-    if cells > CIRCUIT_CELL_LIMIT:
-        raise RangeError(
-            f"a circuit of {n} terms would hold {cells} cells, over the limit "
-            f"of {CIRCUIT_CELL_LIMIT}"
-        )
+    if cells > limit:
+        raise RangeError(refusal.format(n=n, cells=cells, limit=limit))
     return cells
 
 
@@ -391,7 +373,8 @@ def build_circuit(o: Originator) -> Circuit:
     n = o.n
     if n < 2:
         raise RangeError(f"a circuit needs at least two terms, got {n}")
-    flat = np.empty(_circuit_cells(n), dtype=np.int64)
+    refusal = "a circuit of {n} terms would hold {cells} cells, over the limit of {limit}"
+    flat = np.empty(_triangle_cells(n, CIRCUIT_CELL_LIMIT, refusal), dtype=np.int64)
     c = Circuit(o, flat)
     flat[: n - 1] = _abs_diff_checked(o.terms)
     for k in range(2, n):

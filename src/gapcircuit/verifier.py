@@ -49,7 +49,7 @@ from .originator import (
     dump_sequence,
     random_generalized,
 )
-from .triangle import _abs_diff_checked, _derive_into, _rows_from
+from .triangle import SWEEP_CELL_LIMIT, _abs_diff_checked, _derive_into, _rows_from, _triangle_cells
 
 DEFAULT_SCAN_DEPTH = 500
 
@@ -60,10 +60,6 @@ TILE_COLUMNS = 1 << 16
 # Rows between two checks of whether a tile's current row fits a narrower
 # dtype.  Each check reads the row once, about half the cost of a derivation.
 NARROW_EVERY = 4
-
-# Largest triangle the naive sweep derives: about 14 s at the 1.2e9 cells
-# per second it reaches on a 2-CPU Xeon.
-SWEEP_CELL_LIMIT = 1 << 34
 
 # How many failing sequences a search report keeps for replay.
 KEPT_FAILURES = 5
@@ -109,13 +105,11 @@ def _first_row(o: Originator) -> np.ndarray:
 
 
 def _require_sweepable(n: int) -> None:
-    cells = n * (n - 1) // 2
-    if cells > SWEEP_CELL_LIMIT:
-        raise RangeError(
-            f"the naive sweep of {n} terms would derive {cells} cells, over the "
-            f"limit of {SWEEP_CELL_LIMIT}; use --method frontier with a larger "
-            f"--scan-depth"
-        )
+    refusal = (
+        "the naive sweep of {n} terms would derive {cells} cells, over the limit "
+        "of {limit}; use --method frontier with a larger --scan-depth"
+    )
+    _triangle_cells(n, SWEEP_CELL_LIMIT, refusal)
 
 
 def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:

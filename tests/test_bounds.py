@@ -437,11 +437,12 @@ class TestStreamedChecks:
         assert summarize(self.assert_reports_agree(oracle.first_primes(300)))["failed"] == 0
 
 
+@pytest.mark.parametrize("circuit", [build_circuit, _StreamedCircuit])
 class TestSmallSegmentCapBelowFirst:
     @given(st.lists(st.integers(-20, 20), min_size=2, max_size=20))
     @settings(max_examples=80)
-    def test_witness_matches_oracle_row(self, terms):
-        c = build_circuit(Originator(terms))
+    def test_witness_matches_oracle_row(self, circuit, terms):
+        c = circuit(Originator(terms))
         for k, row in enumerate(oracle.triangle_rows(terms), start=1):
             for cap in range(1, max(row) + 2):
                 r = check_small_segment_existence(c, k, cap)
@@ -450,8 +451,8 @@ class TestSmallSegmentCapBelowFirst:
                 assert (r.lhs, r.holds) == (min(row), min(row) <= cap)
                 assert r.precondition_met == (max(row) <= cap)
 
-    def test_cap_below_first_reads_the_row(self):
+    def test_cap_below_first_reads_the_row(self, circuit):
         # Row 1 of (0, 9, 10, 12) is 9, 1, 2: a cap of 2 is first met at m = 2.
-        r = check_small_segment_existence(build_circuit(Originator([0, 9, 10, 12])), 1, 2)
+        r = check_small_segment_existence(circuit(Originator([0, 9, 10, 12])), 1, 2)
         assert r.witnesses == ((2, 1),)
         assert (r.lhs, r.holds, r.precondition_met) == (1, True, False)

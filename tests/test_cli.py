@@ -1,5 +1,10 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,7 +186,12 @@ class TestStreamedStats:
         "argv, message",
         [
             (["--primes", "1"], "a triangle needs at least two terms, got 1"),
-            (["--primes", "50", "--cap", "10"], "50 terms exceeds the triangle cap of 10; raise it with --cap"),
+            pytest.param(
+                ["--primes", "200000"],
+                "the triangle of 200000 terms would derive 19999900000 cells, over the "
+                "limit of 17179869184",
+                id="cell-limit",
+            ),
         ],
     )
     def test_gates_keep_their_messages(self, capsys, argv, message):
@@ -189,22 +199,127 @@ class TestStreamedStats:
 
 
 class TestCircuitCellLimit:
-    @pytest.mark.parametrize("command", ["triangle", "check"])
-    def test_refused_before_allocating(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["triangle", "--primes", "30000", "--cap", "30000"],
+                "a circuit of 30000 terms would hold 449985000 cells, over the limit "
+                "of 268435456",
+            ),
+            (
+                ["check", "--primes", "200000"],
+                "the triangle of 200000 terms would derive 19999900000 cells, over the "
+                "limit of 17179869184",
+            ),
+        ],
+        ids=["triangle", "check"],
+    )
+    def test_refused_before_allocating(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(triangle, "Circuit", _refuse_circuit)
+        monkeypatch.setattr(triangle, "_rows", _refuse_circuit)
         tracemalloc.start()
         try:
-            result = run_cli(capsys, command, "--primes", "30000", "--cap", "30000")
+            result = run_cli(capsys, *argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result == (
+        assert result == (2, "", f"error: {message}\n")
+        assert peak < 8 * 2**20
+
+
+class TestDerivationLimit:
+    """stats and check derive the whole triangle without holding it: one
+    cell limit, shared with the naive sweep, and no --cap."""
+
+    def test_stats_beyond_the_old_cap(self, capsys):
+        code, out, err = run_cli(capsys, "stats", "--primes", "20000")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 20000
+
+    def test_check_beyond_the_circuit_limit(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--primes", "30000", "--format", "text")
+        assert (code, err) == (0, "")
+        summary = out.splitlines()[-1]
+        assert summary.startswith(f"summary: checked={5 * 30000 - 2} ")
+        assert summary.endswith(" failed=0")
+
+    @pytest.mark.parametrize("command", ["stats", "check"])
+    def test_limit_is_inclusive(self, capsys, monkeypatch, command):
+        # five terms make 10 cells, six make 15
+        monkeypatch.setattr(cli, "SWEEP_CELL_LIMIT", 10)
+        assert run_cli(capsys, command, "--primes", "5")[0] == 0
+        monkeypatch.setattr(triangle, "_rows", _refuse_circuit)
+        assert run_cli(capsys, command, "--primes", "6") == (
             2,
             "",
-            "error: a circuit of 30000 terms would hold 449985000 cells, over the "
-            "limit of 268435456\n",
+            "error: the triangle of 6 terms would derive 15 cells, over the limit of 10\n",
         )
-        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("command", ["stats", "check"])
+    def test_cap_is_not_an_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--primes", "5", "--cap", "10"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --cap 10" in captured.err
+
+    def test_triangle_keeps_its_cap(self, capsys):
+        # TestCircuitCellLimit holds triangle's cell-limit message.
+        assert run_cli(capsys, "triangle", "--primes", "50", "--cap", "10") == (
+            2,
+            "",
+            "error: 50 terms exceeds the triangle cap of 10; raise it with --cap\n",
+        )
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the command quietly, with exit code 141."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--primes", "2000", "--format", "text"],
+            ["triangle", "--primes", "2000", "--cap", "2000", "--format", "csv"],
+        ],
+        ids=["check", "triangle"],
+    )
+    def test_exit_141_and_no_traceback(self, argv):
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        # Both outputs are far larger than a pipe buffer, so a write must fail.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gapcircuit", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+class TestReadmeExamples:
+    """Every complete ``$ gapcircuit ...`` example in README.md prints what it shows."""
+
+    def test_examples_match(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        compared = []
+        for block in re.findall(r"^```\n\$ gapcircuit (.*?)^```$", readme, re.M | re.S):
+            command, *shown = block.splitlines()
+            if any("…" in line for line in shown):
+                continue  # an abbreviated example
+            argv, _, tail = command.partition(" | tail -")
+            _, out, err = run_cli(capsys, *argv.split())
+            lines = [line.rstrip() for line in out.splitlines()]
+            if tail:
+                lines = lines[-int(tail) :]
+            assert (lines, err) == (shown, ""), command
+            compared.append(argv.split()[0])
+        assert compared == ["triangle", "stats", "check", "verify"]
 
 
 class TestStreamedCheck:
