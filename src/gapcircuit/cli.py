@@ -262,7 +262,7 @@ def _verify_text(report: VerifyReport, timing: bool) -> list[str]:
         f"stabilization_row = {stab}",
     ]
     if timing:
-        lines.append(f"elapsed_ms = {round(report.elapsed * 1000.0, 3)}")
+        lines.append(f"elapsed_ms = {report.elapsed_ms}")
     return lines
 
 
@@ -272,14 +272,12 @@ def _verify(args: argparse.Namespace) -> VerifyReport:
     # Sieved primes are scanned one window at a time, never held all at once.
     source = _input_source(args)
     if source == "primes":
-        windows = sieve.first_n_prime_windows(args.primes)
-        rebuild = partial(first_n_primes, args.primes)
+        read = partial(sieve.first_n_prime_windows, args.primes)
     elif source == "limit":
-        windows = sieve.prime_windows(args.limit)
-        rebuild = partial(primes_up_to, args.limit)
+        read = partial(sieve.prime_windows, args.limit)
     else:
         return verify_frontier(_resolve_originator(args), args.scan_depth)
-    return verify_frontier_windows(windows, rebuild, args.scan_depth)
+    return verify_frontier_windows(read, args.scan_depth)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -307,7 +305,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
         if args.timing:
             header.append("elapsed_ms")
-            row.append(round(report.elapsed * 1000.0, 3))
+            row.append(report.elapsed_ms)
         _emit_csv([header, row])
     else:
         _emit_lines(_verify_text(report, args.timing))
@@ -340,19 +338,22 @@ def _search_text(report: SearchReport, timing: bool) -> list[str]:
     else:
         lines.append("examples: none")
     if timing:
-        lines.append(f"elapsed_ms = {round(report.elapsed * 1000.0, 3)}")
+        lines.append(f"elapsed_ms = {report.elapsed_ms}")
     return lines
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     model = RandomModel(args.n, args.gmax, args.seed)
-    report = search_counterexamples(
-        model,
-        args.trials,
-        args.seed,
-        scan_depth=args.scan_depth,
-        dump_dir=args.dump_dir,
-    )
+    try:
+        report = search_counterexamples(
+            model,
+            args.trials,
+            args.seed,
+            scan_depth=args.scan_depth,
+            dump_dir=args.dump_dir,
+        )
+    except OSError as exc:  # only writing --dump-dir touches the file system
+        raise UsageError(f"cannot write to the dump directory: {exc}") from None
     if args.format == "json":
         _emit_json(report.to_json_dict(timing=args.timing))
     elif args.format == "csv":
@@ -378,7 +379,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         ]
         if args.timing:
             header.append("elapsed_ms")
-            row.append(round(report.elapsed * 1000.0, 3))
+            row.append(report.elapsed_ms)
         _emit_csv([header, row])
     else:
         _emit_lines(_search_text(report, args.timing))

@@ -137,14 +137,14 @@ class RandomModel:
             raise RangeError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
-def first_n_primes(n: int, *, budget_bytes: int | None = None) -> Originator:
+def first_n_primes(n: int) -> Originator:
     """The first n primes, starting at 2."""
-    return Originator(sieve.first_n_primes_array(n, budget_bytes=budget_bytes))
+    return Originator(sieve.first_n_primes_array(n))
 
 
-def primes_up_to(limit: int, *, budget_bytes: int | None = None) -> Originator:
+def primes_up_to(limit: int) -> Originator:
     """All primes <= limit."""
-    return Originator(sieve.primes_up_to_array(limit, budget_bytes=budget_bytes))
+    return Originator(sieve.primes_up_to_array(limit))
 
 
 def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:

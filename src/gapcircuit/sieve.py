@@ -116,24 +116,19 @@ def _windows(limit: int, window: int) -> Iterator[np.ndarray]:
         yield _odd_window(lo, min(window, (limit - lo) // 2 + 1), odd_base, steps)
 
 
-def prime_windows(
-    limit: int,
-    *,
-    segment_size: int | None = None,
-    budget_bytes: int | None = None,
-) -> Iterator[np.ndarray]:
+def prime_windows(limit: int) -> Iterator[np.ndarray]:
     """All primes <= limit, increasing, as consecutive int64 arrays.
 
     The first array holds the primes up to sqrt(limit), each later one the
-    primes of one window of ``segment_size`` odd integers (default
-    ``SEGMENT_SIZE``); some may be empty.  Arguments are checked at the call:
-    ``RangeError`` for limit < 2 and ``SieveBudgetError`` when all the
-    primes at once would exceed the budget, as for ``primes_up_to_array``.
-    Windows are sieved only as they are read.
+    primes of one window of ``SEGMENT_SIZE`` odd integers; some may be
+    empty.  Arguments are checked at the call: ``RangeError`` for limit < 2
+    and ``SieveBudgetError`` when all the primes at once would exceed the
+    budget, as for ``primes_up_to_array``.  Windows are sieved only as they
+    are read.
     """
     if limit < 2:
         raise RangeError(f"prime limit must be at least 2, got {limit}")
-    budget = sieve_budget_bytes() if budget_bytes is None else budget_bytes
+    budget = sieve_budget_bytes()
     estimated_bytes = 8 * prime_count_upper_bound(limit)
     if estimated_bytes > budget:
         raise SieveBudgetError(
@@ -141,18 +136,10 @@ def prime_windows(
             f"over the budget of {budget} bytes "
             f"(raise {BUDGET_ENV_VAR} to allow this)"
         )
-    window = SEGMENT_SIZE if segment_size is None else segment_size
-    if window < 1:
-        raise RangeError(f"segment size must be positive, got {window}")
-    return _windows(limit, window)
+    return _windows(limit, SEGMENT_SIZE)
 
 
-def first_n_prime_windows(
-    n: int,
-    *,
-    segment_size: int | None = None,
-    budget_bytes: int | None = None,
-) -> Iterator[np.ndarray]:
+def first_n_prime_windows(n: int) -> Iterator[np.ndarray]:
     """The first n primes, increasing, as consecutive int64 arrays.
 
     Sieving stops with the window that holds the n-th prime, and the last
@@ -161,16 +148,13 @@ def first_n_prime_windows(
     """
     if n < 1:
         raise RangeError(f"prime count must be at least 1, got {n}")
-    budget = sieve_budget_bytes() if budget_bytes is None else budget_bytes
+    budget = sieve_budget_bytes()
     if 8 * n > budget:
         raise SieveBudgetError(
             f"{n} primes need {8 * n} bytes, over the budget of {budget} bytes "
             f"(raise {BUDGET_ENV_VAR} to allow this)"
         )
-    windows = prime_windows(
-        nth_prime_upper_bound(n), segment_size=segment_size, budget_bytes=budget
-    )
-    return _take(n, windows)
+    return _take(n, prime_windows(nth_prime_upper_bound(n)))
 
 
 def _take(n: int, windows: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
@@ -202,30 +186,15 @@ def _joined(windows: Iterator[np.ndarray], capacity: int) -> np.ndarray:
     return primes
 
 
-def primes_up_to_array(
-    limit: int,
-    *,
-    segment_size: int | None = None,
-    budget_bytes: int | None = None,
-) -> np.ndarray:
+def primes_up_to_array(limit: int) -> np.ndarray:
     """All primes <= limit, increasing, as a read-only int64 array.
 
-    ``segment_size`` is the number of odd integers per window (default
-    ``SEGMENT_SIZE``).  Raises ``RangeError`` for limit < 2 and
-    ``SieveBudgetError`` when the estimated output would exceed the budget.
+    Raises ``RangeError`` for limit < 2 and ``SieveBudgetError`` when the
+    estimated output would exceed the budget.
     """
-    windows = prime_windows(limit, segment_size=segment_size, budget_bytes=budget_bytes)
-    return _joined(windows, prime_count_upper_bound(limit))
+    return _joined(prime_windows(limit), prime_count_upper_bound(limit))
 
 
-def first_n_primes_array(
-    n: int,
-    *,
-    segment_size: int | None = None,
-    budget_bytes: int | None = None,
-) -> np.ndarray:
+def first_n_primes_array(n: int) -> np.ndarray:
     """The first n primes, increasing, as a read-only int64 array."""
-    windows = first_n_prime_windows(
-        n, segment_size=segment_size, budget_bytes=budget_bytes
-    )
-    return _joined(windows, n)
+    return _joined(first_n_prime_windows(n), n)

@@ -8,16 +8,20 @@ such a row on, every later row must again start with 1, because absolute
 differences keep {0, 2} values inside {0, 2} and |x - 1| = 1 for x in
 {0, 2}.  That certificate lets it skip the remaining rows entirely.
 
-The naive sweep streams full-width int64 rows through two buffers, so
-memory stays O(n); it refuses triangles of more than ``SWEEP_CELL_LIMIT``
-cells before deriving any.  The frontier scan works on one column tile at a
-time.  Entry j of row k depends only on entries j..j+k-1 of row 1, so a tile
-with a halo of D = min(scan_depth, n - 1) extra columns can be derived
-through row D by itself.  Row 1 reaches the scan in chunks, and a tile is
-scanned as soon as its columns and its halo have arrived, so the scan never
-needs all of row 1 at once: ``verify_frontier`` passes its row as one chunk,
-and ``verify_frontier_windows`` derives the chunks from terms read one
-window at a time (the sieve's, for ``verify --primes/--limit``).
+Every entry point is one driver over ``read``, a callable that returns the
+terms as consecutive int64 windows: a held originator is the single window
+``(o.terms,)``, and ``verify --primes/--limit`` reads the sieve's windows.
+Row 1 is derived in one place, a chunk per window with the overflow-checked
+difference, each chunk starting from the last term of the window before.
+The naive sweep (``verify_naive`` is the driver with the scan off, and the
+scan falls back to it) calls ``read()`` a second time and joins row 1.  It
+streams full-width int64 rows through two buffers, so memory stays O(n),
+and it refuses triangles of more than ``SWEEP_CELL_LIMIT`` cells before the
+second read.  The frontier scan works on one column tile at a time.  Entry
+j of row k depends only on entries j..j+k-1 of row 1, so a tile with a halo
+of D = min(scan_depth, n - 1) extra columns can be derived through row D by
+itself.  A tile is scanned as soon as its columns and its halo have
+arrived, so the scan never needs all of row 1 at once.
 
 Each tile starts in the narrowest signed dtype that holds the maximum of its
 own row-1 columns, halo included: entries are nonnegative and
@@ -84,6 +88,11 @@ class VerifyReport:
     stabilization_row: int | None
     elapsed: float
 
+    @property
+    def elapsed_ms(self) -> float:
+        """``elapsed`` in milliseconds, rounded to 3 places as every format prints it."""
+        return round(self.elapsed * 1000.0, 3)
+
     def to_json_dict(self, *, timing: bool = True) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "n": self.n,
@@ -94,64 +103,21 @@ class VerifyReport:
             "stabilization_row": self.stabilization_row,
         }
         if timing:
-            payload["elapsed_ms"] = round(self.elapsed * 1000.0, 3)
+            payload["elapsed_ms"] = self.elapsed_ms
         return payload
-
-
-def _first_row(o: Originator) -> np.ndarray:
-    if o.n < 2:
-        raise RangeError(f"verification needs at least two terms, got {o.n}")
-    return _abs_diff_checked(o.terms)
-
-
-def _require_sweepable(n: int) -> None:
-    refusal = (
-        "the naive sweep of {n} terms would derive {cells} cells, over the limit "
-        "of {limit}; use --method frontier with a larger --scan-depth"
-    )
-    _triangle_cells(n, SWEEP_CELL_LIMIT, refusal)
 
 
 def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:
     """Derive every row from row 1 at full width, checking each leader.
 
     Returns ``(first_failure, max_order_checked)``.  ``row`` is used as one
-    of the two ping-pong buffers and is overwritten.  Raises ``RangeError``
-    before deriving anything when the triangle has more than
-    ``SWEEP_CELL_LIMIT`` cells.
+    of the two ping-pong buffers and is overwritten.
     """
-    n = row.size + 1
-    _require_sweepable(n)
     for k, derived in enumerate(_rows_from(row), start=1):
         leader = int(derived[0])
         if leader != 1:
             return (k, leader), k - 1
-    return None, n - 1
-
-
-def _report(
-    n: int,
-    start: float,
-    first_failure: tuple[int, int] | None,
-    max_checked: int,
-    stabilization_row: int | None = None,
-) -> VerifyReport:
-    return VerifyReport(
-        n=n,
-        method="frontier" if stabilization_row is not None else "naive",
-        all_ones=first_failure is None,
-        max_order_checked=max_checked,
-        first_failure=first_failure,
-        stabilization_row=stabilization_row,
-        elapsed=time.perf_counter() - start,
-    )
-
-
-def verify_naive(o: Originator) -> VerifyReport:
-    """Derive every row and check each leading segment directly."""
-    start = time.perf_counter()
-    first_failure, max_checked = _sweep(_first_row(o))
-    return _report(o.n, start, first_failure, max_checked)
+    return None, row.size
 
 
 def _narrowest_dtype(bound: int) -> np.dtype:
@@ -227,23 +193,74 @@ def _scan_tiles(
         lo += TILE_COLUMNS
 
 
-def _require_depth(scan_depth: int) -> None:
-    if scan_depth < 1:
-        raise RangeError(f"scan depth must be at least 1, got {scan_depth}")
+def _row1_chunks(windows: Iterable[np.ndarray], terms_read: list[int]) -> Iterator[np.ndarray]:
+    """Row 1 of the terms read in ``windows``, one overflow-checked chunk per window.
+
+    A window's chunk starts with its difference from the last term of the
+    window before.  ``terms_read[0]`` grows by each window's size as it is read.
+    """
+    last = None
+    for terms in windows:
+        terms_read[0] += terms.size
+        if terms.size == 0:
+            continue
+        # The joined copy is a temporary, freed before the chunk is scanned.
+        if last is not None:
+            yield _abs_diff_checked(np.concatenate((last, terms)))
+        elif terms.size > 1:
+            yield _abs_diff_checked(terms)
+        # A view would keep the window alive through the next window's scan.
+        last = terms[-1:].copy()
 
 
-def _frontier_report(
-    n: int,
-    start: float,
-    found: tuple[tuple[int, int] | None, int | None] | None,
-    full_row: Callable[[], np.ndarray],
+def _verify(
+    read: Callable[[], Iterable[np.ndarray]], scan_depth: int | None
 ) -> VerifyReport:
-    """The report for a scan outcome; the naive sweep of ``full_row()`` if none."""
+    """Verify the terms ``read()`` returns as consecutive int64 windows.
+
+    The frontier scan runs over row 1 as the windows arrive; with
+    ``scan_depth`` None it is off.  Without a certificate or a failure from
+    the scan, ``read()`` is called a second time, after the sweep guard, and
+    its row 1 is joined for the naive sweep.
+    """
+    start = time.perf_counter()
+    windows = read()  # before the depth check, so a bad source is named first
+    if scan_depth is not None and scan_depth < 1:
+        raise RangeError(f"scan depth must be at least 1, got {scan_depth}")
+    terms_read = [0]
+    chunks = _row1_chunks(windows, terms_read)
+    found = None if scan_depth is None else _scan_tiles(chunks, scan_depth)
+    for _ in chunks:  # read the rest to count the terms and check every difference
+        pass
+    n = terms_read[0]
+    if n < 2:
+        raise RangeError(f"verification needs at least two terms, got {n}")
     if found is None:
-        return _report(n, start, *_sweep(full_row()))
-    first_failure, stabilization_row = found
-    max_checked = first_failure[0] - 1 if first_failure else n - 1
-    return _report(n, start, first_failure, max_checked, stabilization_row)
+        refusal = (
+            "the naive sweep of {n} terms would derive {cells} cells, over the limit "
+            "of {limit}; use --method frontier with a larger --scan-depth"
+        )
+        _triangle_cells(n, SWEEP_CELL_LIMIT, refusal)  # before the terms are read again
+        row = np.concatenate(list(_row1_chunks(read(), [0])))
+        first_failure, max_checked = _sweep(row)
+        stabilization_row = None
+    else:
+        first_failure, stabilization_row = found
+        max_checked = first_failure[0] - 1 if first_failure else n - 1
+    return VerifyReport(
+        n=n,
+        method="frontier" if stabilization_row is not None else "naive",
+        all_ones=first_failure is None,
+        max_order_checked=max_checked,
+        first_failure=first_failure,
+        stabilization_row=stabilization_row,
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def verify_naive(o: Originator) -> VerifyReport:
+    """Derive every row and check each leading segment directly."""
+    return _verify(lambda: (o.terms,), None)
 
 
 def verify_frontier(o: Originator, scan_depth: int = DEFAULT_SCAN_DEPTH) -> VerifyReport:
@@ -255,54 +272,22 @@ def verify_frontier(o: Originator, scan_depth: int = DEFAULT_SCAN_DEPTH) -> Veri
     the run degrades to the naive sweep and the report says so in
     ``method``.
     """
-    start = time.perf_counter()
-    _require_depth(scan_depth)
-    row = _first_row(o)
-    found = _scan_tiles(iter((row,)), scan_depth)
-    return _frontier_report(o.n, start, found, lambda: row)
+    return _verify(lambda: (o.terms,), scan_depth)
 
 
 def verify_frontier_windows(
-    windows: Iterable[np.ndarray],
-    rebuild: Callable[[], Originator],
-    scan_depth: int = DEFAULT_SCAN_DEPTH,
+    read: Callable[[], Iterable[np.ndarray]], scan_depth: int = DEFAULT_SCAN_DEPTH
 ) -> VerifyReport:
-    """``verify_frontier`` on nonnegative terms read one window at a time.
+    """``verify_frontier`` on terms read one window at a time.
 
-    ``windows`` yields the terms in order, as int64 arrays of any sizes; the
+    ``read()`` returns the terms in order, as int64 arrays of any sizes; the
     scan holds the current window, the row-1 columns not yet scanned and one
-    tile, never the whole originator.  Row 1 of a window starts with its
-    difference from the last term of the window before.  ``rebuild()`` must
-    return the whole originator; it is called only when the scan falls back
-    to the naive sweep.  The report is ``verify_frontier(rebuild(),
-    scan_depth)``'s, except that ``elapsed`` includes reading the windows.
+    tile, never the whole originator.  ``read`` is called a second time only
+    when the scan falls back to the naive sweep, and must then return the
+    same terms.  The report is ``verify_frontier``'s on the whole
+    originator, except that ``elapsed`` includes reading the windows.
     """
-    start = time.perf_counter()
-    _require_depth(scan_depth)
-    n = 0
-
-    def first_row() -> Iterator[np.ndarray]:
-        nonlocal n
-        last = None
-        for terms in windows:
-            if terms.size:
-                n += terms.size
-                chunk = np.diff(terms) if last is None else np.diff(terms, prepend=last)
-                yield np.abs(chunk, out=chunk)
-                last = terms[-1]
-
-    chunks = first_row()
-    found = _scan_tiles(chunks, scan_depth)
-    for _ in chunks:  # read the rest only to count the terms
-        pass
-    if n < 2:
-        raise RangeError(f"verification needs at least two terms, got {n}")
-
-    def full_row() -> np.ndarray:
-        _require_sweepable(n)  # before the whole originator is rebuilt
-        return _first_row(rebuild())
-
-    return _frontier_report(n, start, found, full_row)
+    return _verify(read, scan_depth)
 
 
 @dataclass(frozen=True)
@@ -348,6 +333,11 @@ class SearchReport:
     def failure_rate(self) -> float:
         return self.failures / self.trials
 
+    @property
+    def elapsed_ms(self) -> float:
+        """``elapsed`` in milliseconds, rounded to 3 places as every format prints it."""
+        return round(self.elapsed * 1000.0, 3)
+
     def to_json_dict(self, *, timing: bool = False) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "n": self.n,
@@ -361,7 +351,7 @@ class SearchReport:
             "examples": [case.to_json_dict() for case in self.examples],
         }
         if timing:
-            payload["elapsed_ms"] = round(self.elapsed * 1000.0, 3)
+            payload["elapsed_ms"] = self.elapsed_ms
         return payload
 
 

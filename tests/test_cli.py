@@ -20,6 +20,7 @@ from gapcircuit import (
     triangle,
 )
 from gapcircuit.cli import main
+from gapcircuit.verifier import SearchReport, VerifyReport
 
 
 def run_cli(capsys, *argv):
@@ -558,6 +559,31 @@ class TestStreamedVerify:
         assert payload["method"] == "naive" and payload["max_order_checked"] == 167
 
 
+VERIFY_OUTPUTS = json.loads((Path(__file__).parent / "verify_cli_outputs.json").read_text())
+
+
+class TestVerifyOutputsPinned:
+    """``verify`` stdout, stderr and exit code, byte for byte, in every format.
+
+    The expected outputs in ``verify_cli_outputs.json`` were recorded from
+    the command line at commit 15bcced.  A case's ``file`` text, when given,
+    is written to a file whose path replaces ``{file}`` in its arguments.
+    """
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("case", VERIFY_OUTPUTS, ids=[c["id"] for c in VERIFY_OUTPUTS])
+    def test_bytes_unchanged(self, capsys, monkeypatch, tmp_path, case, fmt):
+        path = tmp_path / "terms.txt"
+        if case["file"] is not None:
+            path.write_text(case["file"])
+        for name, value in case["env"].items():
+            monkeypatch.setenv(name, value)
+        argv = [arg.replace("{file}", str(path)) for arg in case["argv"]]
+        code, out, err = run_cli(capsys, "verify", *argv, "--format", fmt)
+        expected = case["outputs"][fmt]
+        assert (out, err, code) == (expected["stdout"], expected["stderr"], expected["exit"])
+
+
 class TestSearchCommand:
     def test_deterministic_output(self, capsys):
         args = ("search", "--n", "100", "--gmax", "6", "--trials", "100", "--seed", "7")
@@ -613,6 +639,43 @@ class TestSearchCommand:
         lines = out.splitlines()
         assert len(lines) == 2
         assert lines[1] == "4,2,3,0,500,3,1.0,1:3"
+
+    @pytest.mark.parametrize("target", ["f", "f/sub"])
+    def test_unusable_dump_dir(self, capsys, tmp_path, target):
+        (tmp_path / "f").touch()
+        path = tmp_path / target
+        code, out, err = run_cli(
+            capsys, "search", "--n", "4", "--gmax", "2", "--trials", "3", "--dump-dir", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write to the dump directory: ")
+        assert err.endswith(f"{str(path)!r}\n")
+
+
+class TestElapsedMs:
+    """Every format prints the one rounded ``elapsed_ms`` of a report."""
+
+    @pytest.mark.parametrize("elapsed", [0.0123456789, 1.0005, 2.5e-7])
+    def test_formats_agree(self, capsys, monkeypatch, elapsed):
+        verify = VerifyReport(5, "frontier", True, 4, None, 1, elapsed)
+        search = SearchReport(4, 2, 3, 0, 500, 3, ((1, 3),), (), elapsed)
+        monkeypatch.setattr(cli, "_verify", lambda args: verify)
+        monkeypatch.setattr(cli, "search_counterexamples", lambda *a, **k: search)
+        for command, report in (
+            (["verify", "--primes", "5"], verify),
+            (["search", "--n", "4", "--gmax", "2"], search),
+        ):
+            printed = []
+            for fmt in ("json", "csv", "text"):
+                _, out, _ = run_cli(capsys, *command, "--timing", "--format", fmt)
+                if fmt == "json":
+                    printed.append(json.loads(out)["elapsed_ms"])
+                elif fmt == "csv":
+                    header, row = out.splitlines()
+                    printed.append(float(dict(zip(header.split(","), row.split(",")))["elapsed_ms"]))
+                else:
+                    printed.append(float(out.splitlines()[-1].removeprefix("elapsed_ms = ")))
+            assert printed == [report.elapsed_ms] * 3
 
 
 class TestInputResolution:

@@ -133,9 +133,10 @@ class TestPrimes:
         by_limit = primes_up_to(10**4)
         assert by_count == by_limit
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1024")
         with pytest.raises(SieveBudgetError):
-            first_n_primes(10**6, budget_bytes=1024)
+            first_n_primes(10**6)
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "4096")

@@ -28,10 +28,10 @@ class TestOddOnlySieve:
         for limit in range(2, 300):
             assert sieve.primes_up_to_array(limit).tolist() == _expected(limit)
 
-    def test_segment_size_argument(self):
+    def test_segment_size_setting(self, monkeypatch):
         for window in (1, 5, 64):
-            got = sieve.primes_up_to_array(2999, segment_size=window)
-            assert got.tolist() == _expected(2999)
+            monkeypatch.setattr(sieve, "SEGMENT_SIZE", window)
+            assert sieve.primes_up_to_array(2999).tolist() == _expected(2999)
 
     def test_first_hundred_thousand_unchanged(self):
         primes = sieve.first_n_primes_array(10**5)
@@ -78,32 +78,20 @@ class TestWindows:
             # no window starts past the n-th prime
             assert all(lo <= SMALL_PRIMES[n - 1] for lo in sieved)
 
-    def test_segment_size_argument(self):
+    def test_segment_size_setting(self, monkeypatch):
         for window in (1, 5, 64):
-            got = sieve.first_n_prime_windows(400, segment_size=window)
-            assert _joined(got) == SMALL_PRIMES[:400]
+            monkeypatch.setattr(sieve, "SEGMENT_SIZE", window)
+            assert _joined(sieve.first_n_prime_windows(400)) == SMALL_PRIMES[:400]
 
-    def test_arguments_checked_at_the_call(self):
+    def test_arguments_checked_at_the_call(self, monkeypatch):
         # errors come before any window is read, with the array functions' messages
+        monkeypatch.setenv(sieve.BUDGET_ENV_VAR, "64")
         cases = [
             (lambda: sieve.prime_windows(1), lambda: sieve.primes_up_to_array(1)),
             (lambda: sieve.first_n_prime_windows(0), lambda: sieve.first_n_primes_array(0)),
-            (
-                lambda: sieve.prime_windows(10**5, budget_bytes=64),
-                lambda: sieve.primes_up_to_array(10**5, budget_bytes=64),
-            ),
-            (
-                lambda: sieve.first_n_prime_windows(8, budget_bytes=64),
-                lambda: sieve.first_n_primes_array(8, budget_bytes=64),
-            ),
-            (
-                lambda: sieve.first_n_prime_windows(9, budget_bytes=64),
-                lambda: sieve.first_n_primes_array(9, budget_bytes=64),
-            ),
-            (
-                lambda: sieve.prime_windows(100, segment_size=0),
-                lambda: sieve.primes_up_to_array(100, segment_size=0),
-            ),
+            (lambda: sieve.prime_windows(10**5), lambda: sieve.primes_up_to_array(10**5)),
+            (lambda: sieve.first_n_prime_windows(8), lambda: sieve.first_n_primes_array(8)),
+            (lambda: sieve.first_n_prime_windows(9), lambda: sieve.first_n_primes_array(9)),
         ]
         for windows, array in cases:
             with pytest.raises(GapCircuitError) as streamed:

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import oracle
 from gapcircuit import sieve, verifier
 from gapcircuit import (
+    Int64OverflowError,
     Originator,
     RandomModel,
     RangeError,
@@ -272,22 +274,39 @@ def _cut(terms, sizes):
     return windows
 
 
+class _Reader:
+    """A ``read`` for the verifier that counts its calls; ``make()`` gives the windows."""
+
+    def __init__(self, make):
+        self.make = make
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.make()
+
+
 def _streamed(terms, scan_depth=verifier.DEFAULT_SCAN_DEPTH, sizes=(5,)):
-    """The streamed report on windows of the terms, checked against the held one."""
-    rebuilt = []
+    """The streamed report on windows of the terms, checked against the held one.
 
-    def rebuild():
-        rebuilt.append(True)
-        return Originator(terms)
-
+    Also checks the naive run on the same windows.  Returns the frontier
+    report and whether it read the terms a second time.
+    """
+    read = _Reader(lambda: _cut(terms, sizes))
     held = verify_frontier(Originator(terms), scan_depth)
-    got = verifier.verify_frontier_windows(_cut(terms, sizes), rebuild, scan_depth)
+    got = verifier.verify_frontier_windows(read, scan_depth)
     assert got.to_json_dict(timing=False) == held.to_json_dict(timing=False)
-    # the whole originator is rebuilt only for the naive sweep
-    assert len(rebuilt) <= 1
-    if rebuilt:
-        assert got.method == "naive"
-    return got, bool(rebuilt)
+    # the terms are read again only for the naive sweep
+    assert read.calls == 1 or (read.calls == 2 and got.method == "naive")
+    if got.stabilization_row is not None:
+        assert read.calls == 1
+    naive = _Reader(read.make)
+    got_naive = verifier._verify(naive, None)
+    assert got_naive.to_json_dict(timing=False) == verify_naive(
+        Originator(terms)
+    ).to_json_dict(timing=False)
+    assert naive.calls == 2
+    return got, read.calls == 2
 
 
 def _must_not_run(*args):
@@ -330,28 +349,52 @@ class TestStreamedFrontier:
             for n in (2, 3, 5, 9, 17, 40, 101):
                 held = verify_frontier(first_n_primes(n), scan_depth)
                 got = verifier.verify_frontier_windows(
-                    sieve.first_n_prime_windows(n),
-                    lambda: first_n_primes(n),
-                    scan_depth,
+                    partial(sieve.first_n_prime_windows, n), scan_depth
                 )
                 assert got.to_json_dict(timing=False) == held.to_json_dict(timing=False)
             for limit in (3, 10, 11, 97, 300):
                 held = verify_frontier(primes_up_to(limit), scan_depth)
                 got = verifier.verify_frontier_windows(
-                    sieve.prime_windows(limit), lambda: primes_up_to(limit), scan_depth
+                    partial(sieve.prime_windows, limit), scan_depth
                 )
                 assert got.to_json_dict(timing=False) == held.to_json_dict(timing=False)
 
     def test_certificates_need_no_rebuild(self, monkeypatch):
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", 97)
         monkeypatch.setattr(verifier, "TILE_COLUMNS", 64)
-        got = verifier.verify_frontier_windows(
-            sieve.first_n_prime_windows(5000), _must_not_run
-        )
+        read = _Reader(partial(sieve.first_n_prime_windows, 5000))
+        got = verifier.verify_frontier_windows(read)
         assert got.to_json_dict(timing=False) == verify_frontier(
             first_n_primes(5000)
         ).to_json_dict(timing=False)
         assert got.method == "frontier"
+        assert read.calls == 1
+
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (2, 5), (100,)])
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # the pair |-(2^63 - 1) - 5| straddles the edge of windows of 2
+            [1, 5, -(2**63 - 1), 2**63 - 1, 3],
+            # the first of two overflowing pairs is named
+            [0, 2, 4, 2**62, -(2**62) - 1, 0, 2**63 - 1, -2, 7],
+        ],
+    )
+    def test_signed_overflow_across_windows(self, terms, sizes):
+        with pytest.raises(Int64OverflowError) as held:
+            verify_frontier(Originator(terms))
+        for scan_depth in (None, 1, verifier.DEFAULT_SCAN_DEPTH):
+            with pytest.raises(Int64OverflowError) as streamed:
+                verifier._verify(_Reader(lambda: _cut(terms, sizes)), scan_depth)
+            assert str(streamed.value) == str(held.value)
+
+    @pytest.mark.parametrize("sizes", [(1,), (2, 3), (64,)])
+    def test_signed_terms(self, sizes):
+        terms = [-7, 3, -2, 10, 4, -1, 5, -9, 0, 6, 2**61, -(2**61), 11]
+        for scan_depth in (1, 3, 20):
+            _streamed(terms, scan_depth, sizes)
+        got, _ = _streamed([-3, -2, 0, 2, 0, 2, 4, 2, 0], 5, sizes)
+        assert got.stabilization_row == 1
 
     @pytest.mark.parametrize("sizes", [(1,), (3, 0, 50), (64,), (1000,)])
     def test_spikes_fall_back(self, monkeypatch, sizes):
@@ -457,11 +500,14 @@ class TestSweepGuard:
             verify_frontier(first_n_primes(100), scan_depth=1)
 
     def test_streamed_fallback_refused_before_rebuild(self, monkeypatch):
+        # the guard fires before the terms would be read a second time, for
+        # the fallback and for the naive run
         monkeypatch.setattr(verifier, "SWEEP_CELL_LIMIT", 100)
-        with pytest.raises(RangeError, match="100 terms would derive 4950 cells"):
-            verifier.verify_frontier_windows(
-                sieve.first_n_prime_windows(100), _must_not_run, 1
-            )
+        for scan_depth in (1, None):
+            read = _Reader(partial(sieve.first_n_prime_windows, 100))
+            with pytest.raises(RangeError, match="100 terms would derive 4950 cells"):
+                verifier._verify(read, scan_depth)
+            assert read.calls == 1
 
     def test_default_limit(self):
         assert verifier.SWEEP_CELL_LIMIT == 2**34
