@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -582,6 +583,43 @@ class TestVerifyOutputsPinned:
         code, out, err = run_cli(capsys, "verify", *argv, "--format", fmt)
         expected = case["outputs"][fmt]
         assert (out, err, code) == (expected["stdout"], expected["stderr"], expected["exit"])
+
+
+CLI_OUTPUTS = json.loads((Path(__file__).parent / "cli_outputs.json").read_text())
+
+
+def _pinned(text: str, want) -> object:
+    """``text`` as pinned: itself, or its byte count and sha256 when ``want`` is."""
+    if isinstance(want, str):
+        return text
+    data = text.encode("utf-8")
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+class TestCliOutputsPinned:
+    """``check``, ``stats``, ``triangle`` and ``search`` output, byte for byte.
+
+    The expected stdout, stderr and exit code in ``cli_outputs.json`` were
+    recorded from the command line at commit 295ba59.  Outputs over 64 KB are
+    pinned by their byte count and sha256.  A case's ``file`` names one of the
+    file texts (the ``stats_wide`` benchmark input of seed 1, and an
+    originator whose path lengths overflow int64); it is written to a file
+    whose path replaces ``{file}`` in the arguments.
+    """
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize(
+        "case", CLI_OUTPUTS["cases"], ids=[c["id"] for c in CLI_OUTPUTS["cases"]]
+    )
+    def test_bytes_unchanged(self, capsys, tmp_path, case, fmt):
+        path = tmp_path / "terms.txt"
+        if case["file"] is not None:
+            path.write_text(CLI_OUTPUTS["files"][case["file"]])
+        argv = [arg.replace("{file}", str(path)) for arg in case["argv"]]
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        expected = case["outputs"][fmt]
+        got = (_pinned(out, expected["stdout"]), _pinned(err, expected["stderr"]), code)
+        assert got == (expected["stdout"], expected["stderr"], expected["exit"])
 
 
 class TestSearchCommand:
