@@ -11,11 +11,19 @@ Checks read only the originator and the circuit's cached summary
 minima, all from one pass over streamed rows.  So ``run_all_checks`` runs in
 O(n) memory on any circuit, held or streamed.  A small-segment check whose
 cap is below the row's first entry derives that one row again.
+
+Each check that runs per order or per segment index is one family function
+over a range of indices: it computes the values of the whole range in lists
+and returns the reports as an iterator that makes each one as it is read.
+The public ``check_*(c, k)`` functions read that iterator over one index, and
+``iter_checks`` chains every family, so its errors come before any report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 from .errors import RangeError
@@ -30,7 +38,7 @@ from .triangle import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """Outcome of one check: the compared values, verdict, and witnesses.
 
@@ -84,10 +92,6 @@ def _edge_gap(c: Circuit, k: int) -> int:
     return abs(summary.second_lasts[k - 2] - summary.firsts[k - 2])
 
 
-def _row_length(c: Circuit, k: int) -> int:
-    return _fit(c._summary().tally.row_sums[k - 1], "path length")
-
-
 def _sandwich_terms(c: Circuit) -> tuple[int, list[int]]:
     """Both sandwich checks' lower bound and row maxima (M_k = max delta of row k-1)."""
     lower = (c.n - 2) * min(_edge_gap(c, k) for k in range(1, c.n - 1))
@@ -109,6 +113,25 @@ def _panel_integral(maxima: list[int]) -> int:
     return total
 
 
+def _length_bounds(c: Circuit, orders: range) -> Iterator[BoundReport]:
+    tally = c._summary().tally
+    lowers = [_edge_gap(c, k) for k in orders]
+    lengths = [_fit(tally.row_sums[k - 1], "path length") for k in orders]
+    return (
+        BoundReport(
+            name=f"length_bounds(k={k})",
+            lhs=lower,
+            middle=length,
+            rhs=upper,
+            holds=lower <= length <= upper,
+            precondition_met=True,
+        )
+        for k, lower, length, upper in zip(
+            orders, lowers, lengths, [(c.n - k) * tally.row_maxima[k - 1] for k in orders]
+        )
+    )
+
+
 def check_length_bounds(c: Circuit, k: int) -> BoundReport:
     """Sandwich the order-k path length between its edge gap and spread bound.
 
@@ -116,16 +139,42 @@ def check_length_bounds(c: Circuit, k: int) -> BoundReport:
     holds iff lower <= length <= upper.
     """
     _require_order(k, c.n - 1)
-    lower = _edge_gap(c, k)
-    upper = (c.n - k) * c._summary().tally.row_maxima[k - 1]
-    length = _row_length(c, k)
-    return BoundReport(
-        name=f"length_bounds(k={k})",
-        lhs=lower,
-        middle=length,
-        rhs=upper,
-        holds=lower <= length <= upper,
-        precondition_met=True,
+    return next(_length_bounds(c, range(k, k + 1)))
+
+
+def _first_at_most(c: Circuit, k: int, cap: int) -> tuple[tuple[int, int], ...]:
+    """The witnesses: the first 1-based (m, d_m) of row k with d_m <= cap, if any."""
+    summary = c._summary()
+    if summary.firsts[k - 1] <= cap:
+        return ((1, summary.firsts[k - 1]),)
+    if summary.row_minima[k - 1] > cap:
+        return ()
+    # Only a cap below the row's first segment needs the row's entries.
+    row = path_of_order(c.originator, k).segments
+    m = int((row <= cap).argmax()) + 1
+    return ((m, int(row[m - 1])),)
+
+
+def _small_segments(c: Circuit, orders: range, caps: list[int]) -> Iterator[BoundReport]:
+    summary = c._summary()
+    rows = slice(orders.start - 1, orders.stop - 1)
+    return (
+        BoundReport(
+            name=f"small_segment_existence(k={k})",
+            lhs=smallest,
+            rhs=cap,
+            holds=smallest <= cap,
+            precondition_met=largest <= cap,
+            witnesses=witnesses,
+            extra={"cap": cap},
+        )
+        for k, cap, largest, smallest, witnesses in zip(
+            orders,
+            caps,
+            summary.tally.row_maxima[rows],
+            summary.row_minima[rows],
+            [_first_at_most(c, k, cap) for k, cap in zip(orders, caps)],
+        )
     )
 
 
@@ -138,26 +187,29 @@ def check_small_segment_existence(c: Circuit, k: int, cap: int) -> BoundReport:
     _require_order(k, c.n - 1)
     if cap < 1:
         raise RangeError(f"cap must be positive, got {cap}")
+    return next(_small_segments(c, range(k, k + 1), [cap]))
+
+
+def _monotone_decreases(c: Circuit, orders: range) -> Iterator[BoundReport]:
     summary = c._summary()
-    precondition = summary.tally.row_maxima[k - 1] <= cap
-    smallest = summary.row_minima[k - 1]
-    first = summary.firsts[k - 1]
-    witnesses: tuple[tuple[int, int], ...] = ()
-    if first <= cap:
-        witnesses = ((1, first),)
-    elif smallest <= cap:
-        # Only a cap below the row's first segment needs the row's entries.
-        row = path_of_order(c.originator, k).segments
-        m = int((row <= cap).argmax()) + 1
-        witnesses = ((m, int(row[m - 1])),)
-    return BoundReport(
-        name=f"small_segment_existence(k={k})",
-        lhs=smallest,
-        rhs=cap,
-        holds=smallest <= cap,
-        precondition_met=precondition,
-        witnesses=witnesses,
-        extra={"cap": cap},
+    sums = summary.tally.row_sums
+    # Each order's next row is fitted first: (shorter, longer).
+    pairs = [(_fit(sums[k], "path length"), _fit(sums[k - 1], "path length")) for k in orders]
+    return (
+        BoundReport(
+            name=f"monotone_length_decrease(k={k})",
+            lhs=shorter,
+            rhs=longer,
+            holds=shorter < longer,
+            precondition_met=narrowing,
+            extra={
+                "non_strict_holds": shorter <= longer,
+                "hypothesis_range": [1, c.n - k - 1],
+            },
+        )
+        for k, (shorter, longer), narrowing in zip(
+            orders, pairs, summary.narrowing[orders.start - 1 : orders.stop - 1]
+        )
     )
 
 
@@ -170,21 +222,7 @@ def check_monotone_length_decrease(c: Circuit, k: int) -> BoundReport:
     ``extra`` because all-zero rows can only achieve equality.
     """
     _require_order(k, c.n - 2)
-    t = c.n - k
-    precondition = c._summary().narrowing[k - 1]
-    shorter = _row_length(c, k + 1)
-    longer = _row_length(c, k)
-    return BoundReport(
-        name=f"monotone_length_decrease(k={k})",
-        lhs=shorter,
-        rhs=longer,
-        holds=shorter < longer,
-        precondition_met=precondition,
-        extra={
-            "non_strict_holds": shorter <= longer,
-            "hypothesis_range": [1, t - 1],
-        },
-    )
+    return next(_monotone_decreases(c, range(k, k + 1)))
 
 
 def check_circuit_bounds(c: Circuit) -> BoundReport:
@@ -209,25 +247,27 @@ def check_circuit_bounds(c: Circuit) -> BoundReport:
     )
 
 
+def _trace_recurrences(c: Circuit, segments: range) -> Iterator[BoundReport]:
+    lasts = c._summary().lasts
+    tau = [trace(c, s) for s in range(segments.start, segments.stop + 1)]
+    a = c.originator.terms[segments.start - 1 : segments.stop].tolist()
+    rhs = [(a[i + 1] - a[i]) + lasts[c.n - s - 1] + tau[i + 1] for i, s in enumerate(segments)]
+    return (
+        BoundReport(
+            name=f"trace_recurrence(s={s})", lhs=lhs, rhs=rhs, holds=lhs >= rhs, precondition_met=True
+        )
+        for s, lhs, rhs in zip(segments, [2 * t for t in tau], rhs)
+    )
+
+
 def check_trace_recurrence(c: Circuit, s: int) -> BoundReport:
     """Twice the trace at s dominates the gap + deepest segment + next trace.
 
     lhs = 2*trace(s); rhs = (a_{s+1} - a_s) + d_s at order n-s + trace(s+1);
     holds iff lhs >= rhs.
     """
-    n = c.n
-    _require_segment(s, n - 2)
-    a = c.originator.terms
-    lhs = 2 * trace(c, s)
-    deepest = c._summary().lasts[n - s - 1]
-    rhs = (int(a[s]) - int(a[s - 1])) + deepest + trace(c, s + 1)
-    return BoundReport(
-        name=f"trace_recurrence(s={s})",
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs >= rhs,
-        precondition_met=True,
-    )
+    _require_segment(s, c.n - 2)
+    return next(_trace_recurrences(c, range(s, s + 1)))
 
 
 def check_average_trace_bound(c: Circuit) -> BoundReport:
@@ -285,29 +325,36 @@ def check_trace_circuit_theorem(c: Circuit) -> BoundReport:
     )
 
 
+def _zero_existences(c: Circuit, segments: range) -> Iterator[BoundReport]:
+    summary = c._summary()
+    columns = slice(segments.start - 1, segments.stop - 1)
+    # Rows 1.. hold no negative segment, so a zero is the column minimum.
+    return (
+        BoundReport(
+            name=f"zero_existence(s={s})",
+            lhs=smallest,
+            rhs=0,
+            holds=smallest == 0,
+            precondition_met=tau < c.n - s,
+            witnesses=((row, 0),) if smallest == 0 else (),
+        )
+        for s, tau, smallest, row in zip(
+            segments,
+            [trace(c, s) for s in segments],
+            summary.column_minima[columns],
+            summary.column_argmins[columns],
+        )
+    )
+
+
 def check_zero_existence(c: Circuit, s: int) -> BoundReport:
     """A column whose trace is small must contain a zero segment.
 
     Precondition: trace(s) < n-s.  holds iff some order t in 1..n-s has
     d_s = 0; the witness is the smallest such t.
     """
-    n = c.n
-    _require_segment(s, n - 1)
-    tau = trace(c, s)
-    summary = c._summary()
-    # Rows 1.. hold no negative segment, so a zero is the column minimum.
-    smallest = summary.column_minima[s - 1]
-    witnesses: tuple[tuple[int, int], ...] = ()
-    if smallest == 0:
-        witnesses = ((summary.column_argmins[s - 1], 0),)
-    return BoundReport(
-        name=f"zero_existence(s={s})",
-        lhs=smallest,
-        rhs=0,
-        holds=smallest == 0,
-        precondition_met=tau < n - s,
-        witnesses=witnesses,
-    )
+    _require_segment(s, c.n - 1)
+    return next(_zero_existences(c, range(s, s + 1)))
 
 
 def check_strong_gilbreath(c: Circuit) -> BoundReport:
@@ -352,6 +399,27 @@ def check_trace_sum_identity(c: Circuit) -> BoundReport:
     )
 
 
+def iter_checks(c: Circuit) -> Iterator[BoundReport]:
+    """The reports of ``run_all_checks``, in its order, each made as it is read.
+
+    Every compared value is computed before this returns, so an
+    ``Int64OverflowError`` is raised here and not while the reports are read.
+    """
+    n = c.n
+    caps = [max(top, 1) for top in c._summary().tally.row_maxima]
+    # Arguments are evaluated in order, so errors are raised in report order.
+    return chain(
+        _length_bounds(c, range(1, n)),
+        _small_segments(c, range(1, n), caps),
+        _monotone_decreases(c, range(1, n - 1)),
+        [check_circuit_bounds(c)] if n >= 3 else [],
+        _trace_recurrences(c, range(1, n - 1)),
+        [check_average_trace_bound(c), check_trace_circuit_theorem(c)] if n >= 3 else [],
+        _zero_existences(c, range(1, n)),
+        [check_strong_gilbreath(c), check_trace_sum_identity(c)],
+    )
+
+
 def run_all_checks(c: Circuit) -> list[BoundReport]:
     """Every check over every valid order and segment index, in a fixed order.
 
@@ -359,27 +427,7 @@ def run_all_checks(c: Circuit) -> list[BoundReport]:
     hypothesis is satisfiable on every row including all-zero ones, and its
     witness is the row's first segment.
     """
-    n = c.n
-    maxima = c._summary().tally.row_maxima
-    reports: list[BoundReport] = []
-    for k in range(1, n):
-        reports.append(check_length_bounds(c, k))
-    for k in range(1, n):
-        reports.append(check_small_segment_existence(c, k, max(maxima[k - 1], 1)))
-    for k in range(1, n - 1):
-        reports.append(check_monotone_length_decrease(c, k))
-    if n >= 3:
-        reports.append(check_circuit_bounds(c))
-    for s in range(1, n - 1):
-        reports.append(check_trace_recurrence(c, s))
-    if n >= 3:
-        reports.append(check_average_trace_bound(c))
-        reports.append(check_trace_circuit_theorem(c))
-    for s in range(1, n):
-        reports.append(check_zero_existence(c, s))
-    reports.append(check_strong_gilbreath(c))
-    reports.append(check_trace_sum_identity(c))
-    return reports
+    return list(iter_checks(c))
 
 
 def is_equality_case(report: BoundReport) -> bool:
@@ -392,17 +440,37 @@ def is_equality_case(report: BoundReport) -> bool:
     )
 
 
+def report_status(r: BoundReport) -> str:
+    """"vacuous" (hypothesis unmet), "held", "equality" or "FAILED"."""
+    if not r.precondition_met:
+        return "vacuous"
+    if r.holds:
+        return "held"
+    if is_equality_case(r):
+        return "equality"
+    return "FAILED"
+
+
+# The summary count each status adds to, besides "checked".
+_COUNTED_AS = {"vacuous": "vacuous", "held": "held", "equality": "held", "FAILED": "failed"}
+
+
+def counted(reports: Iterable[BoundReport]) -> tuple[Iterator[BoundReport], dict[str, int]]:
+    """``reports`` again, and the summary counts, complete once they are all read."""
+    summary = {"checked": 0, "held": 0, "vacuous": 0, "failed": 0}
+
+    def read() -> Iterator[BoundReport]:
+        for r in reports:
+            summary["checked"] += 1
+            summary[_COUNTED_AS[report_status(r)]] += 1
+            yield r
+
+    return read(), summary
+
+
 def summarize(reports: list[BoundReport]) -> dict[str, int]:
     """Aggregate counts: vacuous reports aside, equality cases count as held."""
-    vacuous = sum(1 for r in reports if not r.precondition_met)
-    failed = sum(
-        1
-        for r in reports
-        if r.precondition_met and not r.holds and not is_equality_case(r)
-    )
-    return {
-        "checked": len(reports),
-        "held": len(reports) - vacuous - failed,
-        "vacuous": vacuous,
-        "failed": failed,
-    }
+    read, summary = counted(reports)
+    for _ in read:
+        pass
+    return summary

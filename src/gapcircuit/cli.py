@@ -15,13 +15,16 @@ import csv
 import json
 import os
 import sys
-from functools import partial
-from itertools import islice
+from collections.abc import Iterable, Iterator
+from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from . import sieve
-from .bounds import BoundReport, is_equality_case, run_all_checks, summarize
+from .bounds import BoundReport, counted, iter_checks, report_status
+# Not called here; the benchmark's tracer (bench/tracing.py) wraps them by
+# their names in this module.
+from .bounds import run_all_checks, summarize  # noqa: F401
 from .errors import GapCircuitError, UsageError
 from .originator import (
     Originator,
@@ -53,7 +56,7 @@ from .verifier import (
 
 DEFAULT_TRIANGLE_CAP = 10_000
 
-# Encoder chunks joined per write: the rendered JSON is never held whole.
+# JSON items (scalars) encoded per write: the rendered JSON is never held whole.
 JSON_BATCH_CHUNKS = 4096
 
 
@@ -63,17 +66,100 @@ def _emit_lines(lines: Iterable[str]) -> None:
         sys.stdout.write("\n")
 
 
-def _emit_json(payload) -> None:
-    """Write ``json.dumps(payload, indent=2)`` and a newline, a batch at a time.
+# The JSON text of each scalar type, as ``json.dumps`` writes it.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: json.dumps,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+_SCALAR_TYPES = frozenset(_SCALARS)
 
-    A ``BoundReport`` in the payload is turned into its JSON dict only as it
-    is written, so the dicts of a long report list are never held together.
+
+@cache
+def _flat_encoder(depth: int):
+    """The C encoder of a list of scalars at ``depth``.
+
+    Its item separator carries the newline and indent of the items, so only
+    the brackets' own newlines are left to add.
     """
-    encoder = json.JSONEncoder(indent=2, default=BoundReport.to_json_dict)
-    chunks = encoder.iterencode(payload)
-    while batch := list(islice(chunks, JSON_BATCH_CHUNKS)):
-        sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _written(out: list[str], held: int) -> int:
+    """Write and empty ``out`` once its ``held`` items reach ``JSON_BATCH_CHUNKS``.
+
+    Returns the items left held.
+    """
+    if held < JSON_BATCH_CHUNKS:
+        return held
+    sys.stdout.write("".join(out))
+    out.clear()
+    return 0
+
+
+def _put_json(value, depth: int, out: list[str], held: int = 0) -> int:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` writes it at ``depth``.
+
+    A list or tuple of scalars goes to the C encoder, ``JSON_BATCH_CHUNKS``
+    items a call.  Any other container is walked here, its scalars spelled
+    through ``_SCALARS``: at the size of a report's dict that is quicker than
+    the encoder's set-up per call.  A ``BoundReport`` is written as its JSON
+    dict and any other iterator as a list, each only as it is reached.
+
+    ``held`` counts the items in ``out``, and the count after ``value`` is
+    returned; ``out`` is written out by ``_written`` as items are added.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+        return held + 1
+    if isinstance(value, BoundReport):
+        value = value.to_json_dict()
+    inner = "\n" + "  " * (depth + 1)
+    keyed = isinstance(value, dict)
+    if not keyed:
+        if isinstance(value, (list, tuple)):
+            if value and _SCALAR_TYPES.issuperset(map(type, value)):
+                encode = _flat_encoder(depth)
+                separator = "[" + inner
+                for start in range(0, len(value), JSON_BATCH_CHUNKS):
+                    part = value[start : start + JSON_BATCH_CHUNKS]
+                    out.append(separator + encode(part)[1:-1])
+                    held = _written(out, held + len(part))
+                    separator = "," + inner
+                out.append("\n" + "  " * depth + "]")
+                return held
+        elif not isinstance(value, Iterator):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    opening, closing = "{}" if keyed else "[]"
+    separator = opening + inner
+    for item in value.items() if keyed else value:
+        if keyed:
+            key, item = item
+            name = key if type(key) is str else _SCALARS[type(key)](key)
+            separator += encode_basestring_ascii(name) + ": "
+        scalar = _SCALARS.get(type(item))
+        if scalar is not None:
+            out.append(separator + scalar(item))
+            held += 1
+        else:
+            out.append(separator)
+            held = _put_json(item, depth + 1, out, held)
+        if held >= JSON_BATCH_CHUNKS:
+            held = _written(out, held)
+        separator = "," + inner
+    out.append(opening + closing if separator[0] == opening else "\n" + "  " * depth + closing)
+    return held
+
+
+def _emit_json(payload) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline, a batch at a time."""
+    out: list[str] = []
+    _put_json(payload, 0, out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _emit_csv(rows: Iterable[list]) -> None:
@@ -196,21 +282,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_status(r: BoundReport) -> str:
-    if not r.precondition_met:
-        return "vacuous"
-    if r.holds:
-        return "held"
-    if is_equality_case(r):
-        return "equality"
-    return "FAILED"
-
-
 def _witness_cell(r: BoundReport) -> str:
     return ";".join(f"{i}:{v}" for i, v in r.witnesses)
 
 
-def _check_csv(reports: list[BoundReport]) -> Iterator[list]:
+def _check_csv(reports: Iterable[BoundReport]) -> Iterator[list]:
     yield ["name", "lhs", "middle", "rhs", "holds", "precondition_met", "witnesses", "extra"]
     for r in reports:
         yield [
@@ -225,18 +301,21 @@ def _check_csv(reports: list[BoundReport]) -> Iterator[list]:
         ]
 
 
-def _check_text(reports: list[BoundReport], summary: dict[str, int]) -> Iterator[str]:
+def _check_text(reports: Iterable[BoundReport], summary: dict[str, int]) -> Iterator[str]:
+    """A line per report, then the summary, read only once the reports are."""
     for r in reports:
         middle = f" middle={r.middle}" if r.middle is not None else ""
-        yield f"{_report_status(r):<8} {r.name}: lhs={r.lhs}{middle} rhs={r.rhs}"
+        yield f"{report_status(r):<8} {r.name}: lhs={r.lhs}{middle} rhs={r.rhs}"
     yield "summary: checked={checked} held={held} vacuous={vacuous} failed={failed}".format(
         **summary
     )
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    reports = run_all_checks(_streamed_circuit(_resolve_originator(args)))
-    summary = summarize(reports)
+    # Every value is computed here, before a byte is written; each report is
+    # made and counted only as it is written.  The summary follows the reports
+    # in every format, so its counts are complete by then.
+    reports, summary = counted(iter_checks(_streamed_circuit(_resolve_originator(args))))
     if args.format == "json":
         _emit_json({"reports": reports, "summary": summary})
     elif args.format == "csv":

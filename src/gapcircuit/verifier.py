@@ -368,7 +368,8 @@ def search_counterexamples(
     Trial t takes draw t-1 of the random stream on ``seed`` as its sequence
     seed, so a report is reproducible from (model shape, trials, seed)
     alone; the seed inside ``model`` is not consulted.  With ``dump_dir``
-    set, the kept failing sequences are also written there as sequence
+    set, the directory is created before the first trial, even if no trial
+    fails, and the kept failing sequences are written there as sequence
     files named ``<trial seed>.txt``.
     """
     start = time.perf_counter()
@@ -376,6 +377,8 @@ def search_counterexamples(
         raise RangeError(f"trial count must be at least 1, got {trials}")
     if not 0 <= seed < (1 << 64):
         raise RangeError(f"seed must fit in 64 unsigned bits, got {seed}")
+    if dump_dir is not None:
+        os.makedirs(dump_dir, exist_ok=True)
     failures = 0
     orders: dict[int, int] = {}
     examples: list[FailingCase] = []
@@ -395,11 +398,10 @@ def search_counterexamples(
                     seed=trial_seed,
                     failure_order=k,
                     failure_value=value,
-                    terms=tuple(int(t) for t in o.terms),
+                    terms=tuple(o.terms.tolist()),
                 )
             )
-    if dump_dir is not None and examples:
-        os.makedirs(dump_dir, exist_ok=True)
+    if dump_dir is not None:
         for case in examples:
             path = os.path.join(os.fspath(dump_dir), f"{case.seed}.txt")
             dump_sequence(Originator(np.array(case.terms, dtype=np.int64)), path)

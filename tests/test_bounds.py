@@ -26,7 +26,8 @@ from gapcircuit import (
     run_all_checks,
     summarize,
 )
-from gapcircuit.bounds import is_equality_case
+from gapcircuit import triangle
+from gapcircuit.bounds import counted, is_equality_case, iter_checks
 from gapcircuit.triangle import _StreamedCircuit
 from test_triangle import edge_terms_strategy, outcome, terms_strategy
 
@@ -435,6 +436,31 @@ class TestStreamedChecks:
 
     def test_prime_prefix(self):
         assert summarize(self.assert_reports_agree(oracle.first_primes(300)))["failed"] == 0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a value was computed while the reports were read")
+
+
+class TestReportStream:
+    """iter_checks computes every value, and raises any overflow, when called;
+    reading its reports derives and sums nothing."""
+
+    @pytest.mark.parametrize("terms", [[0, 1], [5] * 6, oracle.first_primes(80)])
+    def test_values_computed_before_the_first_report(self, monkeypatch, terms):
+        want = run_all_checks(build_circuit(Originator(terms)))
+        reports = iter_checks(_StreamedCircuit(Originator(terms)))
+        for name in ("_summary", "_tally"):
+            monkeypatch.setattr(_StreamedCircuit, name, _refuse)
+        monkeypatch.setattr(triangle, "_rows", _refuse)
+        read, summary = counted(reports)
+        assert list(read) == want
+        assert summary == summarize(want)
+
+    def test_overflow_raised_by_the_call(self):
+        c = _StreamedCircuit(Originator([0, (1 << 62) - 1, 0, (1 << 62) - 1, 0]))
+        with pytest.raises(Int64OverflowError, match="path length"):
+            iter_checks(c)
 
 
 @pytest.mark.parametrize("circuit", [build_circuit, _StreamedCircuit])

@@ -1,17 +1,23 @@
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from gapcircuit import (
+    BoundReport,
     Int64OverflowError,
     Originator,
     build_circuit,
@@ -19,6 +25,7 @@ from gapcircuit import (
     run_all_checks,
     sieve,
     triangle,
+    verifier,
 )
 from gapcircuit.cli import main
 from gapcircuit.verifier import SearchReport, VerifyReport
@@ -366,6 +373,44 @@ class TestStreamedCheck:
         assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
 
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.text(),
+)
+json_reports = st.builds(
+    BoundReport,
+    name=st.text(),
+    lhs=st.integers(),
+    rhs=st.integers(),
+    holds=st.booleans(),
+    precondition_met=st.booleans(),
+    middle=st.none() | st.integers(),
+    witnesses=st.lists(st.tuples(st.integers(), st.integers()), max_size=2).map(tuple),
+    extra=st.none() | st.dictionaries(st.text(), json_scalars | st.lists(json_scalars), max_size=3),
+)
+
+
+def _json_containers(items: st.SearchStrategy) -> st.SearchStrategy:
+    return (
+        st.lists(items, max_size=4)
+        | st.lists(items, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), items, max_size=4)
+    )
+
+
+def _json_values(depth: int) -> st.SearchStrategy:
+    """Scalars and reports, alone or in containers nested up to ``depth`` deep."""
+    leaves = json_scalars | json_reports
+    return leaves if depth == 0 else leaves | _json_containers(_json_values(depth - 1))
+
+
+# dicts, lists and tuples nested up to 5 deep
+json_payloads = _json_containers(_json_values(4))
+
+
 class TestJsonWriter:
     PAYLOADS = [
         {"n": 3, "rows": [[1, 2], [1]], "empty": [], "nested": {}, "none": None},
@@ -381,6 +426,18 @@ class TestJsonWriter:
         monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", batch)
         cli._emit_json(payload)
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, cli.JSON_BATCH_CHUNKS])
+    @given(payload=json_payloads)
+    @example(payload=[[], {}, ()])
+    @example(payload={"a": [[], [{}]], "b": ([], ())})
+    @example(payload=[2**64, -(2**70), True, None, -0.0, float("nan"), float("-inf")])
+    @example(payload={"big": -(2**70), "t": True, "z": -0.0, "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")})
+    @settings(max_examples=150, deadline=None)
+    def test_matches_json_dumps(self, batch, payload):
+        with mock.patch.object(cli, "JSON_BATCH_CHUNKS", batch), redirect_stdout(io.StringIO()) as out:
+            cli._emit_json(payload)
+        assert out.getvalue() == json.dumps(payload, indent=2, default=BoundReport.to_json_dict) + "\n"
 
     @pytest.mark.parametrize("batch", [1, 2, 7])
     def test_check_report_bytes(self, capsys, monkeypatch, batch):
@@ -679,7 +736,9 @@ class TestSearchCommand:
         assert lines[1] == "4,2,3,0,500,3,1.0,1:3"
 
     @pytest.mark.parametrize("target", ["f", "f/sub"])
-    def test_unusable_dump_dir(self, capsys, tmp_path, target):
+    def test_unusable_dump_dir(self, capsys, monkeypatch, tmp_path, target):
+        # the directory is made before the first trial, so no trial runs
+        monkeypatch.setattr(verifier, "random_generalized", _refuse_circuit)
         (tmp_path / "f").touch()
         path = tmp_path / target
         code, out, err = run_cli(
