@@ -254,7 +254,11 @@ def _trace_recurrences(c: Circuit, segments: range) -> Iterator[BoundReport]:
     rhs = [(a[i + 1] - a[i]) + lasts[c.n - s - 1] + tau[i + 1] for i, s in enumerate(segments)]
     return (
         BoundReport(
-            name=f"trace_recurrence(s={s})", lhs=lhs, rhs=rhs, holds=lhs >= rhs, precondition_met=True
+            name=f"trace_recurrence(s={s})",
+            lhs=lhs,
+            rhs=rhs,
+            holds=lhs >= rhs,
+            precondition_met=True,
         )
         for s, lhs, rhs in zip(segments, [2 * t for t in tau], rhs)
     )
@@ -441,7 +445,7 @@ def is_equality_case(report: BoundReport) -> bool:
 
 
 def report_status(r: BoundReport) -> str:
-    """"vacuous" (hypothesis unmet), "held", "equality" or "FAILED"."""
+    """The report's status: "vacuous" (hypothesis unmet), "held", "equality" or "FAILED"."""
     if not r.precondition_met:
         return "vacuous"
     if r.holds:

@@ -134,12 +134,12 @@ def _put_json(value, depth: int, out: list[str], held: int = 0) -> int:
         elif not isinstance(value, Iterator):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     opening, closing = "{}" if keyed else "[]"
-    separator = opening + inner
+    separator, comma = opening + inner, "," + inner
     for item in value.items() if keyed else value:
         if keyed:
             key, item = item
             name = key if type(key) is str else _SCALARS[type(key)](key)
-            separator += encode_basestring_ascii(name) + ": "
+            separator = separator + encode_basestring_ascii(name) + ": "
         scalar = _SCALARS.get(type(item))
         if scalar is not None:
             out.append(separator + scalar(item))
@@ -149,7 +149,7 @@ def _put_json(value, depth: int, out: list[str], held: int = 0) -> int:
             held = _put_json(item, depth + 1, out, held)
         if held >= JSON_BATCH_CHUNKS:
             held = _written(out, held)
-        separator = "," + inner
+        separator = comma
     out.append(opening + closing if separator[0] == opening else "\n" + "  " * depth + closing)
     return held
 

@@ -389,7 +389,8 @@ json_reports = st.builds(
     precondition_met=st.booleans(),
     middle=st.none() | st.integers(),
     witnesses=st.lists(st.tuples(st.integers(), st.integers()), max_size=2).map(tuple),
-    extra=st.none() | st.dictionaries(st.text(), json_scalars | st.lists(json_scalars), max_size=3),
+    extra=st.none()
+    | st.dictionaries(st.text(), json_scalars | st.lists(json_scalars), max_size=3),
 )
 
 
@@ -432,12 +433,24 @@ class TestJsonWriter:
     @example(payload=[[], {}, ()])
     @example(payload={"a": [[], [{}]], "b": ([], ())})
     @example(payload=[2**64, -(2**70), True, None, -0.0, float("nan"), float("-inf")])
-    @example(payload={"big": -(2**70), "t": True, "z": -0.0, "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")})
+    @example(payload={"z": -0.0, "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")})
     @settings(max_examples=150, deadline=None)
     def test_matches_json_dumps(self, batch, payload):
+        want = json.dumps(payload, indent=2, default=BoundReport.to_json_dict) + "\n"
         with mock.patch.object(cli, "JSON_BATCH_CHUNKS", batch), redirect_stdout(io.StringIO()) as out:
             cli._emit_json(payload)
-        assert out.getvalue() == json.dumps(payload, indent=2, default=BoundReport.to_json_dict) + "\n"
+        assert out.getvalue() == want
+
+    def test_written_in_batches(self, monkeypatch):
+        # every write holds about JSON_BATCH_CHUNKS values, long lists included
+        writes = []
+        monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", 4)
+        monkeypatch.setattr(cli.sys, "stdout", mock.Mock(write=writes.append))
+        payload = {"a": list(range(100)), "b": iter(range(50)), "c": [[0, 1]] * 20}
+        cli._emit_json(payload)
+        assert len(writes) > 150 // 4
+        assert max(len(re.findall(r"\d+", text)) for text in writes) <= 2 * 4
+        assert "".join(writes) == json.dumps({**payload, "b": list(range(50))}, indent=2) + "\n"
 
     @pytest.mark.parametrize("batch", [1, 2, 7])
     def test_check_report_bytes(self, capsys, monkeypatch, batch):
