@@ -56,7 +56,7 @@ from .verifier import (
 
 DEFAULT_TRIANGLE_CAP = 10_000
 
-# JSON items (scalars) encoded per write: the rendered JSON is never held whole.
+# Scalar values held before each write: the rendered JSON is never held whole.
 JSON_BATCH_CHUNKS = 4096
 
 
@@ -106,7 +106,8 @@ def _put_json(value, depth: int, out: list[str], held: int = 0) -> int:
     items a call.  Any other container is walked here, its scalars spelled
     through ``_SCALARS``: at the size of a report's dict that is quicker than
     the encoder's set-up per call.  A ``BoundReport`` is written as its JSON
-    dict and any other iterator as a list, each only as it is reached.
+    dict and any other iterator as a list, each only as it is reached.  Dict
+    keys must be strings.
 
     ``held`` counts the items in ``out``, and the count after ``value`` is
     returned; ``out`` is written out by ``_written`` as items are added.
@@ -138,8 +139,7 @@ def _put_json(value, depth: int, out: list[str], held: int = 0) -> int:
     for item in value.items() if keyed else value:
         if keyed:
             key, item = item
-            name = key if type(key) is str else _SCALARS[type(key)](key)
-            separator = separator + encode_basestring_ascii(name) + ": "
+            separator = separator + encode_basestring_ascii(key) + ": "
         scalar = _SCALARS.get(type(item))
         if scalar is not None:
             out.append(separator + scalar(item))
