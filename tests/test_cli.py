@@ -434,6 +434,7 @@ class TestJsonWriter:
     @example(payload={"a": [[], [{}]], "b": ([], ())})
     @example(payload=[2**64, -(2**70), True, None, -0.0, float("nan"), float("-inf")])
     @example(payload={"z": -0.0, "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")})
+    @example(payload={'q"\n\x01é': ['"\\\u2028\x7f', "\U0001f600", ""]})
     @settings(max_examples=150, deadline=None)
     def test_matches_json_dumps(self, batch, payload):
         want = json.dumps(payload, indent=2, default=BoundReport.to_json_dict) + "\n"
