@@ -92,10 +92,9 @@ def _edge_gap(c: Circuit, k: int) -> int:
     return abs(summary.second_lasts[k - 2] - summary.firsts[k - 2])
 
 
-def _sandwich_terms(c: Circuit) -> tuple[int, list[int]]:
-    """Both sandwich checks' lower bound and row maxima (M_k = max delta of row k-1)."""
-    lower = (c.n - 2) * min(_edge_gap(c, k) for k in range(1, c.n - 1))
-    return lower, c._summary().tally.row_maxima
+def _sandwich_lower(gaps: list[int]) -> int:
+    """Both sandwich checks' lower bound: n-2 times the least edge gap of orders 1..n-2."""
+    return len(gaps) * min(gaps)
 
 
 def _panel_integral(maxima: list[int]) -> int:
@@ -113,9 +112,8 @@ def _panel_integral(maxima: list[int]) -> int:
     return total
 
 
-def _length_bounds(c: Circuit, orders: range) -> Iterator[BoundReport]:
+def _length_bounds(c: Circuit, orders: range, lowers: list[int]) -> Iterator[BoundReport]:
     tally = c._summary().tally
-    lowers = [_edge_gap(c, k) for k in orders]
     lengths = [_fit(tally.row_sums[k - 1], "path length") for k in orders]
     return (
         BoundReport(
@@ -139,7 +137,7 @@ def check_length_bounds(c: Circuit, k: int) -> BoundReport:
     holds iff lower <= length <= upper.
     """
     _require_order(k, c.n - 1)
-    return next(_length_bounds(c, range(k, k + 1)))
+    return next(_length_bounds(c, range(k, k + 1), [_edge_gap(c, k)]))
 
 
 def _first_at_most(c: Circuit, k: int, cap: int) -> tuple[tuple[int, int], ...]:
@@ -231,10 +229,13 @@ def check_circuit_bounds(c: Circuit) -> BoundReport:
     lower = (n-2) * min edge gap over orders 1..n-2; upper = sum of per-row
     maxima plus the unit-panel integral of their running prefix sums.
     """
-    n = c.n
-    if n < 3:
-        raise RangeError(f"circuit bounds need at least three terms, got {n}")
-    lower, maxima = _sandwich_terms(c)
+    if c.n < 3:
+        raise RangeError(f"circuit bounds need at least three terms, got {c.n}")
+    return _circuit_bounds(c, _sandwich_lower([_edge_gap(c, k) for k in range(1, c.n - 1)]))
+
+
+def _circuit_bounds(c: Circuit, lower: int) -> BoundReport:
+    maxima = c._summary().tally.row_maxima
     upper = sum(maxima) + _panel_integral(maxima)
     kappa = circuit_length(c)
     return BoundReport(
@@ -283,10 +284,14 @@ def check_average_trace_bound(c: Circuit) -> BoundReport:
     from traces here).  Witnesses: (argmin trace, min trace) and
     (argmax row max, max row max).
     """
+    if c.n < 3:
+        raise RangeError(f"average trace bound needs at least three terms, got {c.n}")
+    return _average_trace_bound(c, _sandwich_lower([_edge_gap(c, k) for k in range(1, c.n - 1)]))
+
+
+def _average_trace_bound(c: Circuit, lower: int) -> BoundReport:
     n = c.n
-    if n < 3:
-        raise RangeError(f"average trace bound needs at least three terms, got {n}")
-    lower, maxima = _sandwich_terms(c)
+    maxima = c._summary().tally.row_maxima
     upper = (n - 1) * max(maxima) + _panel_integral(maxima)
     tau = traces(c)
     middle = sum(tau)
@@ -411,14 +416,16 @@ def iter_checks(c: Circuit) -> Iterator[BoundReport]:
     """
     n = c.n
     caps = [max(top, 1) for top in c._summary().tally.row_maxima]
+    gaps = [_edge_gap(c, k) for k in range(1, n)]
+    lower = _sandwich_lower(gaps[:-1]) if n >= 3 else None
     # Arguments are evaluated in order, so errors are raised in report order.
     return chain(
-        _length_bounds(c, range(1, n)),
+        _length_bounds(c, range(1, n), gaps),
         _small_segments(c, range(1, n), caps),
         _monotone_decreases(c, range(1, n - 1)),
-        [check_circuit_bounds(c)] if n >= 3 else [],
+        [_circuit_bounds(c, lower)] if n >= 3 else [],
         _trace_recurrences(c, range(1, n - 1)),
-        [check_average_trace_bound(c), check_trace_circuit_theorem(c)] if n >= 3 else [],
+        [_average_trace_bound(c, lower), check_trace_circuit_theorem(c)] if n >= 3 else [],
         _zero_existences(c, range(1, n)),
         [check_strong_gilbreath(c), check_trace_sum_identity(c)],
     )

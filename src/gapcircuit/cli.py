@@ -46,7 +46,6 @@ from .triangle import (
 )
 from .verifier import (
     DEFAULT_SCAN_DEPTH,
-    SearchReport,
     VerifyReport,
     search_counterexamples,
     verify_frontier,
@@ -58,12 +57,6 @@ DEFAULT_TRIANGLE_CAP = 10_000
 
 # Scalar values held before each write: the rendered JSON is never held whole.
 JSON_BATCH_CHUNKS = 4096
-
-
-def _emit_lines(lines: Iterable[str]) -> None:
-    for line in lines:
-        sys.stdout.write(line)
-        sys.stdout.write("\n")
 
 
 # The JSON text of each scalar type, as ``json.dumps`` writes it.
@@ -162,26 +155,31 @@ def _emit_json(payload) -> None:
     sys.stdout.write("".join(out))
 
 
-def _emit_csv(rows: Iterable[list]) -> None:
-    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+def _emit(format: str, payload, rows: Iterable[list], lines: Iterable[str]) -> None:
+    """Write one report: ``payload`` as JSON, ``rows`` as CSV or ``lines`` as text.
+
+    Only the one ``format`` chooses is read, so the other two may be
+    generators that are never started.
+    """
+    if format == "json":
+        _emit_json(payload)
+    elif format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
+def _spelled(value, none: str):
+    """A payload scalar as a CSV cell or in a text line: booleans as JSON spells them."""
+    if value is None:
+        return none
+    return _SCALARS[bool](value) if isinstance(value, bool) else value
 
 
 def _input_source(args: argparse.Namespace) -> str:
     """The one input source given: "primes", "limit", "file" or "n"."""
-    chosen = [
-        name
-        for name, value in (
-            ("primes", args.primes),
-            ("limit", args.limit),
-            ("file", args.file),
-            ("n", args.n),
-        )
-        if value is not None
-    ]
+    chosen = [name for name in ("primes", "limit", "file", "n") if getattr(args, name) is not None]
     if (args.n is None) != (args.gmax is None):
         raise UsageError("--n and --gmax must be given together")
     if len(chosen) != 1:
@@ -236,54 +234,44 @@ def cmd_triangle(args: argparse.Namespace) -> int:
             f"{o.n} terms exceeds the triangle cap of {args.cap}; raise it with --cap"
         )
     c = build_circuit(o)
-    if args.format == "json":
-        _emit_json({"n": c.n, "rows": [c.row(k).tolist() for k in range(1, c.n)]})
-    elif args.format == "csv":
-        _emit_csv(c.row(k).tolist() for k in range(1, c.n))
-    else:
-        _emit_lines(_triangle_text(c))
+    # JSON and CSV read the one stream of rows, each row listed as it is written.
+    rows = (c.row(k).tolist() for k in range(1, c.n))
+    _emit(args.format, {"n": c.n, "rows": rows}, rows, _triangle_text(c))
     return 0
+
+
+def _stats_csv(payload: dict) -> Iterator[list]:
+    yield ["statistic", "index", "value"]
+    for key in ("n", "total_maximal_steps", "circuit_length"):
+        yield [key, "", payload[key]]
+    yield from (["path_length", k, v] for k, v in enumerate(payload["path_lengths"], start=1))
+    yield from (["trace", s, v] for s, v in enumerate(payload["traces"], start=1))
+
+
+def _stats_text(payload: dict) -> Iterator[str]:
+    for key, value in payload.items():
+        if isinstance(value, list):
+            yield f"{key}: " + " ".join(map(str, value))
+        else:
+            yield f"{key} = {value}"
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     c = _streamed_circuit(_resolve_originator(args))
+    # Read in this order, so that an input that overflows several of them
+    # names "path length" in its error.
     iotas = path_lengths(c)
     taus = traces(c)
     kappa = circuit_length(c)
-    steps = total_maximal_steps(c.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": c.n,
-                "total_maximal_steps": steps,
-                "circuit_length": kappa,
-                "path_lengths": iotas,
-                "traces": taus,
-            }
-        )
-    elif args.format == "csv":
-        rows: list[list] = [["statistic", "index", "value"]]
-        rows.append(["n", "", c.n])
-        rows.append(["total_maximal_steps", "", steps])
-        rows.append(["circuit_length", "", kappa])
-        rows.extend(["path_length", k, v] for k, v in enumerate(iotas, start=1))
-        rows.extend(["trace", s, v] for s, v in enumerate(taus, start=1))
-        _emit_csv(rows)
-    else:
-        _emit_lines(
-            [
-                f"n = {c.n}",
-                f"total_maximal_steps = {steps}",
-                f"circuit_length = {kappa}",
-                "path_lengths: " + " ".join(map(str, iotas)),
-                "traces: " + " ".join(map(str, taus)),
-            ]
-        )
+    payload = {
+        "n": c.n,
+        "total_maximal_steps": total_maximal_steps(c.n),
+        "circuit_length": kappa,
+        "path_lengths": iotas,
+        "traces": taus,
+    }
+    _emit(args.format, payload, _stats_csv(payload), _stats_text(payload))
     return 0
-
-
-def _witness_cell(r: BoundReport) -> str:
-    return ";".join(f"{i}:{v}" for i, v in r.witnesses)
 
 
 def _check_csv(reports: Iterable[BoundReport]) -> Iterator[list]:
@@ -292,11 +280,11 @@ def _check_csv(reports: Iterable[BoundReport]) -> Iterator[list]:
         yield [
             r.name,
             r.lhs,
-            "" if r.middle is None else r.middle,
+            _spelled(r.middle, ""),
             r.rhs,
-            _flag(r.holds),
-            _flag(r.precondition_met),
-            _witness_cell(r),
+            _spelled(r.holds, ""),
+            _spelled(r.precondition_met, ""),
+            ";".join(f"{i}:{v}" for i, v in r.witnesses),
             json.dumps(r.extra, separators=(",", ":")) if r.extra else "",
         ]
 
@@ -316,33 +304,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     # made and counted only as it is written.  The summary follows the reports
     # in every format, so its counts are complete by then.
     reports, summary = counted(iter_checks(_streamed_circuit(_resolve_originator(args))))
-    if args.format == "json":
-        _emit_json({"reports": reports, "summary": summary})
-    elif args.format == "csv":
-        _emit_csv(_check_csv(reports))
-    else:
-        _emit_lines(_check_text(reports, summary))
+    payload = {"reports": reports, "summary": summary}
+    _emit(args.format, payload, _check_csv(reports), _check_text(reports, summary))
     return 0 if summary["failed"] == 0 else 1
-
-
-def _verify_text(report: VerifyReport, timing: bool) -> list[str]:
-    failure = (
-        f"k={report.first_failure[0]} value={report.first_failure[1]}"
-        if report.first_failure
-        else "none"
-    )
-    stab = report.stabilization_row if report.stabilization_row is not None else "none"
-    lines = [
-        f"n = {report.n}",
-        f"method = {report.method}",
-        f"all_ones = {_flag(report.all_ones)}",
-        f"max_order_checked = {report.max_order_checked}",
-        f"first_failure = {failure}",
-        f"stabilization_row = {stab}",
-    ]
-    if timing:
-        lines.append(f"elapsed_ms = {report.elapsed_ms}")
-    return lines
 
 
 def _verify(args: argparse.Namespace) -> VerifyReport:
@@ -359,66 +323,54 @@ def _verify(args: argparse.Namespace) -> VerifyReport:
     return verify_frontier_windows(read, args.scan_depth)
 
 
+def _verify_csv(payload: dict) -> Iterator[list]:
+    """A header and one row; ``first_failure`` takes two cells."""
+    cells = {}
+    for key, value in payload.items():
+        if key == "first_failure":
+            cells["failure_order"], cells["failure_value"] = value or ("", "")
+        else:
+            cells[key] = _spelled(value, "")
+    yield list(cells)
+    yield list(cells.values())
+
+
+def _verify_text(payload: dict) -> Iterator[str]:
+    for key, value in payload.items():
+        if key == "first_failure" and value:
+            value = "k={} value={}".format(*value)
+        yield f"{key} = {_spelled(value, 'none')}"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     report = _verify(args)
-    if args.format == "json":
-        _emit_json(report.to_json_dict(timing=args.timing))
-    elif args.format == "csv":
-        header = [
-            "n",
-            "method",
-            "all_ones",
-            "max_order_checked",
-            "failure_order",
-            "failure_value",
-            "stabilization_row",
-        ]
-        row: list = [
-            report.n,
-            report.method,
-            _flag(report.all_ones),
-            report.max_order_checked,
-            report.first_failure[0] if report.first_failure else "",
-            report.first_failure[1] if report.first_failure else "",
-            report.stabilization_row if report.stabilization_row is not None else "",
-        ]
-        if args.timing:
-            header.append("elapsed_ms")
-            row.append(report.elapsed_ms)
-        _emit_csv([header, row])
-    else:
-        _emit_lines(_verify_text(report, args.timing))
+    payload = report.to_json_dict(timing=args.timing)
+    _emit(args.format, payload, _verify_csv(payload), _verify_text(payload))
     return 0 if report.all_ones else 1
 
 
-def _search_text(report: SearchReport, timing: bool) -> list[str]:
-    lines = [
-        f"n = {report.n}",
-        f"g_max = {report.g_max}",
-        f"trials = {report.trials}",
-        f"seed = {report.seed}",
-        f"failures = {report.failures}",
-        f"failure_rate = {report.failure_rate}",
-    ]
-    if report.failure_orders:
-        lines.append(
-            "failure_orders: "
-            + " ".join(f"{k}:{count}" for k, count in report.failure_orders)
-        )
-    else:
-        lines.append("failure_orders: none")
-    if report.examples:
-        lines.append("examples:")
-        for case in report.examples:
-            lines.append(
-                f"  trial={case.trial} seed={case.seed} "
-                f"failure_order={case.failure_order} failure_value={case.failure_value}"
-            )
-    else:
-        lines.append("examples: none")
-    if timing:
-        lines.append(f"elapsed_ms = {report.elapsed_ms}")
-    return lines
+def _search_csv(payload: dict) -> Iterator[list]:
+    """A header and one row, without the examples."""
+    cells = {key: value for key, value in payload.items() if key != "examples"}
+    cells["failure_orders"] = ";".join(f"{k}:{c}" for k, c in payload["failure_orders"].items())
+    yield list(cells)
+    yield list(cells.values())
+
+
+def _search_text(payload: dict) -> Iterator[str]:
+    """``name = value`` lines, without the scan depth, and a line per example."""
+    for key, value in payload.items():
+        if key == "failure_orders":
+            yield "failure_orders: " + (" ".join(f"{k}:{c}" for k, c in value.items()) or "none")
+        elif key == "examples":
+            yield "examples:" if value else "examples: none"
+            for case in value:
+                yield (
+                    "  trial={trial} seed={seed} "
+                    "failure_order={failure_order} failure_value={failure_value}"
+                ).format(**case)
+        elif key != "scan_depth":
+            yield f"{key} = {value}"
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -433,35 +385,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
     except OSError as exc:  # only writing --dump-dir touches the file system
         raise UsageError(f"cannot write to the dump directory: {exc}") from None
-    if args.format == "json":
-        _emit_json(report.to_json_dict(timing=args.timing))
-    elif args.format == "csv":
-        header = [
-            "n",
-            "g_max",
-            "trials",
-            "seed",
-            "scan_depth",
-            "failures",
-            "failure_rate",
-            "failure_orders",
-        ]
-        row: list = [
-            report.n,
-            report.g_max,
-            report.trials,
-            report.seed,
-            report.scan_depth,
-            report.failures,
-            report.failure_rate,
-            ";".join(f"{k}:{count}" for k, count in report.failure_orders),
-        ]
-        if args.timing:
-            header.append("elapsed_ms")
-            row.append(report.elapsed_ms)
-        _emit_csv([header, row])
-    else:
-        _emit_lines(_search_text(report, args.timing))
+    payload = report.to_json_dict(timing=args.timing)
+    _emit(args.format, payload, _search_csv(payload), _search_text(payload))
     return 0
 
 

@@ -94,6 +94,27 @@ class TestTriangleCommand:
         assert code == 0
         assert len(out.splitlines()) == 49
 
+    @pytest.mark.parametrize("batch", [1, 7, 4096])
+    def test_json_across_batches(self, capsys, monkeypatch, batch):
+        # 19 900 values: more than one batch of 4096
+        monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", batch)
+        rows = oracle.triangle_rows(oracle.first_primes(200))
+        want = json.dumps({"n": 200, "rows": rows}, indent=2) + "\n"
+        assert run_cli(capsys, "triangle", "--primes", "200") == (0, want, "")
+
+    def test_json_holds_no_more_than_csv(self):
+        # both list one row at a time, so neither holds much beside the triangle
+        peaks = {}
+        for fmt in ("json", "csv"):
+            with open(os.devnull, "w") as sink, redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(["triangle", "--primes", "700", "--format", fmt]) == 0
+                    _, peaks[fmt] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert peaks["json"] <= 1.1 * peaks["csv"]
+
     @pytest.mark.parametrize(
         "terms",
         [
@@ -748,6 +769,41 @@ class TestSearchCommand:
         lines = out.splitlines()
         assert len(lines) == 2
         assert lines[1] == "4,2,3,0,500,3,1.0,1:3"
+
+    @pytest.mark.parametrize(
+        "fmt, want, timed",
+        [
+            (
+                "json",
+                '{\n  "n": 4,\n  "g_max": 2,\n  "trials": 3,\n  "seed": 0,\n  "scan_depth": 500,\n'
+                '  "failures": 0,\n  "failure_rate": 0.0,\n  "failure_orders": {},\n'
+                '  "examples": []\n}\n',
+                '{\n  "n": 4,\n  "g_max": 2,\n  "trials": 3,\n  "seed": 0,\n  "scan_depth": 500,\n'
+                '  "failures": 0,\n  "failure_rate": 0.0,\n  "failure_orders": {},\n'
+                '  "examples": [],\n  "elapsed_ms": 12.346\n}\n',
+            ),
+            (
+                "csv",
+                "n,g_max,trials,seed,scan_depth,failures,failure_rate,failure_orders\n"
+                "4,2,3,0,500,0,0.0,\n",
+                "n,g_max,trials,seed,scan_depth,failures,failure_rate,failure_orders,elapsed_ms\n"
+                "4,2,3,0,500,0,0.0,,12.346\n",
+            ),
+            (
+                "text",
+                "n = 4\ng_max = 2\ntrials = 3\nseed = 0\nfailures = 0\nfailure_rate = 0.0\n"
+                "failure_orders: none\nexamples: none\n",
+                "n = 4\ng_max = 2\ntrials = 3\nseed = 0\nfailures = 0\nfailure_rate = 0.0\n"
+                "failure_orders: none\nexamples: none\nelapsed_ms = 12.346\n",
+            ),
+        ],
+    )
+    def test_report_without_failures(self, capsys, monkeypatch, fmt, want, timed):
+        report = SearchReport(4, 2, 3, 0, 500, 0, (), (), 0.0123456789)
+        monkeypatch.setattr(cli, "search_counterexamples", lambda *a, **k: report)
+        argv = ["search", "--n", "4", "--gmax", "2", "--trials", "3", "--format", fmt]
+        assert run_cli(capsys, *argv) == (0, want, "")
+        assert run_cli(capsys, *argv, "--timing") == (0, timed, "")
 
     @pytest.mark.parametrize("target", ["f", "f/sub"])
     def test_unusable_dump_dir(self, capsys, monkeypatch, tmp_path, target):
