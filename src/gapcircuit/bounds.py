@@ -6,11 +6,13 @@ numbers, the verdict, and any witnesses.  Checks whose statement has a
 hypothesis record it in ``precondition_met``; a report with an unmet
 hypothesis is vacuous and is excluded from aggregate pass/fail counts.
 
-Checks read only the originator and the circuit's cached summary
-(``_summary()``): row sums, extremes and edge entries, column traces and
-minima, all from one pass over streamed rows.  So ``run_all_checks`` runs in
-O(n) memory on any circuit, held or streamed.  A small-segment check whose
-cap is below the row's first entry derives that one row again.
+Checks read only the originator and the circuit's cached summary with its
+check fields (``_summary()``): row sums, extremes and edge entries, column
+traces and minima, all from one pass over streamed rows.  The statistics they
+call read the same summary, so the rows are derived once for the whole suite,
+and ``run_all_checks`` runs in O(n) memory on any circuit, held or streamed.
+A small-segment check whose cap is below the row's first entry derives that
+one row again.
 
 Each check that runs per order or per segment index is one family function
 over a range of indices: it computes the values of the whole range in lists
@@ -113,8 +115,8 @@ def _panel_integral(maxima: list[int]) -> int:
 
 
 def _length_bounds(c: Circuit, orders: range, lowers: list[int]) -> Iterator[BoundReport]:
-    tally = c._summary().tally
-    lengths = [_fit(tally.row_sums[k - 1], "path length") for k in orders]
+    summary = c._summary()
+    lengths = [_fit(summary.row_sums[k - 1], "path length") for k in orders]
     return (
         BoundReport(
             name=f"length_bounds(k={k})",
@@ -125,7 +127,7 @@ def _length_bounds(c: Circuit, orders: range, lowers: list[int]) -> Iterator[Bou
             precondition_met=True,
         )
         for k, lower, length, upper in zip(
-            orders, lowers, lengths, [(c.n - k) * tally.row_maxima[k - 1] for k in orders]
+            orders, lowers, lengths, [(c.n - k) * summary.row_maxima[k - 1] for k in orders]
         )
     )
 
@@ -169,7 +171,7 @@ def _small_segments(c: Circuit, orders: range, caps: list[int]) -> Iterator[Boun
         for k, cap, largest, smallest, witnesses in zip(
             orders,
             caps,
-            summary.tally.row_maxima[rows],
+            summary.row_maxima[rows],
             summary.row_minima[rows],
             [_first_at_most(c, k, cap) for k, cap in zip(orders, caps)],
         )
@@ -190,7 +192,7 @@ def check_small_segment_existence(c: Circuit, k: int, cap: int) -> BoundReport:
 
 def _monotone_decreases(c: Circuit, orders: range) -> Iterator[BoundReport]:
     summary = c._summary()
-    sums = summary.tally.row_sums
+    sums = summary.row_sums
     # Each order's next row is fitted first: (shorter, longer).
     pairs = [(_fit(sums[k], "path length"), _fit(sums[k - 1], "path length")) for k in orders]
     return (
@@ -235,7 +237,7 @@ def check_circuit_bounds(c: Circuit) -> BoundReport:
 
 
 def _circuit_bounds(c: Circuit, lower: int) -> BoundReport:
-    maxima = c._summary().tally.row_maxima
+    maxima = c._summary().row_maxima
     upper = sum(maxima) + _panel_integral(maxima)
     kappa = circuit_length(c)
     return BoundReport(
@@ -291,7 +293,7 @@ def check_average_trace_bound(c: Circuit) -> BoundReport:
 
 def _average_trace_bound(c: Circuit, lower: int) -> BoundReport:
     n = c.n
-    maxima = c._summary().tally.row_maxima
+    maxima = c._summary().row_maxima
     upper = (n - 1) * max(maxima) + _panel_integral(maxima)
     tau = traces(c)
     middle = sum(tau)
@@ -415,7 +417,7 @@ def iter_checks(c: Circuit) -> Iterator[BoundReport]:
     ``Int64OverflowError`` is raised here and not while the reports are read.
     """
     n = c.n
-    caps = [max(top, 1) for top in c._summary().tally.row_maxima]
+    caps = [max(top, 1) for top in c._summary().row_maxima]
     gaps = [_edge_gap(c, k) for k in range(1, n)]
     lower = _sandwich_lower(gaps[:-1]) if n >= 3 else None
     # Arguments are evaluated in order, so errors are raised in report order.

@@ -8,12 +8,12 @@ buffer of n(n-1)/2 segments, refused above ``CIRCUIT_CELL_LIMIT``.  Indices in
 the public API are 1-based: segment s of order k is the value at row k,
 column s.
 
-Statistics are read from one cached tally of the rows, whose sums add 31-bit
-limbs: exact for any int64 input, they raise only when read outside int64.
-The checks of ``bounds`` read a cached summary instead: the tally plus each
-row's minimum and edge entries and each column's minimum, filled in the same
-pass.  Both derive the rows afresh from the originator in two reused
-buffers, for a held circuit too, so they need O(n) memory and no circuit.
+Statistics and the checks of ``bounds`` read one cached summary of the rows,
+filled in one pass over rows derived afresh from the originator in two reused
+buffers, for a held circuit too, so it needs O(n) memory and no circuit.  Its
+sums add 31-bit limbs: exact for any int64 input, they raise only when read
+outside int64.  Statistics ask for the totals alone; only the checks pay for
+each row's minimum and edge entries and each column's minimum.
 """
 
 from __future__ import annotations
@@ -175,129 +175,109 @@ def path_of_order(o: Originator, k: int) -> Path:
     return Path(order=k, segments=next(islice(_rows(o), k - 1, None)))
 
 
-class _Tally(NamedTuple):
-    """Exact, unchecked totals: entry k-1 is row k's, entry s-1 column s's."""
+class _Summary(NamedTuple):
+    """Exact, unchecked totals of the rows, and what the checks read of them.
+
+    Row fields hold entry k-1 for row k, column fields entry s-1 for segment
+    s.  The totals are always filled; the check fields, from ``row_minima``
+    on, are None unless asked for.  ``second_lasts`` stops at row n-2, the
+    last row with two segments; ``narrowing[k-1]`` tells whether
+    row k+1 <= row k[1:] entrywise, for k = 1..n-2.  ``column_argmins`` holds
+    the first row that reaches each column's minimum.
+    """
 
     row_sums: list[int]
     row_maxima: list[int]
     traces: list[int]
+    row_minima: list[int] | None = None
+    firsts: list[int] | None = None
+    second_lasts: list[int] | None = None
+    lasts: list[int] | None = None
+    narrowing: list[bool] | None = None
+    column_minima: list[int] | None = None
+    column_argmins: list[int] | None = None
 
 
-def _tally_rows(rows: Iterable[np.ndarray], n: int) -> _Tally:
-    """The tally of rows 1..n-1 of an n-term circuit, read once in order."""
+def _summarize_rows(rows: Iterable[np.ndarray], n: int, checks: bool) -> _Summary:
+    """The summary of rows 1..n-1 of an n-term circuit, read once in order.
+
+    Without ``checks`` only the totals are read, and no check buffer is made.
+    """
     # Row 0 of each pair holds the high limbs, row 1 the low limbs.
     limbs = np.empty((2, n - 1), dtype=np.int64)
     columns = np.zeros((2, n - 1), dtype=np.int64)
     row_sums, row_maxima = [], []
-    for row in rows:
+    if checks:
+        per_row = row_minima, firsts, second_lasts, lasts, narrowing = [], [], [], [], []
+        column_minima = np.full(n - 1, I64_MAX, dtype=np.int64)
+        column_argmins = np.ones(n - 1, dtype=np.int64)
+        mask = np.empty(n - 1, dtype=bool)
+    for k, row in enumerate(rows, start=1):
+        m = row.size
         top = int(row.max())
         row_maxima.append(top)
         if top <= _LOW_MASK:
             # The row is its own low limb and its high limb is all 0s.
             row_sums.append(int(row.sum()))
-            columns[1, : row.size] += row
+            columns[1, :m] += row
+        else:
+            pair = limbs[:, :m]
+            np.right_shift(row, _LIMB_BITS, out=pair[0])
+            np.bitwise_and(row, _LOW_MASK, out=pair[1])
+            high, low = pair.sum(axis=1).tolist()
+            row_sums.append((high << _LIMB_BITS) + low)
+            columns[:, :m] += pair
+        if not checks:
             continue
-        pair = limbs[:, : row.size]
-        np.right_shift(row, _LIMB_BITS, out=pair[0])
-        np.bitwise_and(row, _LOW_MASK, out=pair[1])
-        high, low = pair.sum(axis=1).tolist()
-        row_sums.append((high << _LIMB_BITS) + low)
-        columns[:, : row.size] += pair
+        row_minima.append(int(row.min()))
+        firsts.append(int(row[0]))
+        lasts.append(int(row[-1]))
+        if m > 1:
+            second_lasts.append(int(row[-2]))
+        if k > 1:
+            # A row stream still holds row k-1 when it yields row k.
+            np.less_equal(row, previous[1:], out=mask[:m])
+            narrowing.append(bool(mask[:m].all()))
+        if np.less(row, column_minima[:m], out=mask[:m]).any():
+            np.copyto(column_minima[:m], row, where=mask[:m])
+            np.copyto(column_argmins[:m], k, where=mask[:m])
+        previous = row
     traces = [(high << _LIMB_BITS) + low for high, low in zip(*columns.tolist())]
-    return _Tally(row_sums, row_maxima, traces)
-
-
-class _Summary(NamedTuple):
-    """The tally plus what the checks read of each row and column.
-
-    Row fields hold entry k-1 for row k.  ``second_lasts`` stops at row n-2,
-    the last row with two segments; ``narrowing[k-1]`` tells whether
-    row k+1 <= row k[1:] entrywise, for k = 1..n-2.  Column fields hold entry
-    s-1 for segment s: its minimum and the first row that reaches it.
-    """
-
-    tally: _Tally
-    row_minima: list[int]
-    firsts: list[int]
-    second_lasts: list[int]
-    lasts: list[int]
-    narrowing: list[bool]
-    column_minima: list[int]
-    column_argmins: list[int]
-
-
-def _summarize_rows(rows: Iterable[np.ndarray], n: int) -> _Summary:
-    """The summary of rows 1..n-1, read once in order by the tally's loop."""
-    row_minima, firsts, second_lasts, lasts, narrowing = [], [], [], [], []
-    column_minima = np.full(n - 1, I64_MAX, dtype=np.int64)
-    column_argmins = np.ones(n - 1, dtype=np.int64)
-    mask = np.empty(n - 1, dtype=bool)
-
-    def read() -> Iterator[np.ndarray]:
-        previous = None
-        for k, row in enumerate(rows, start=1):
-            m = row.size
-            row_minima.append(int(row.min()))
-            firsts.append(int(row[0]))
-            lasts.append(int(row[-1]))
-            if m > 1:
-                second_lasts.append(int(row[-2]))
-            if previous is not None:
-                # A row stream still holds row k-1 when it yields row k.
-                np.less_equal(row, previous[1:], out=mask[:m])
-                narrowing.append(bool(mask[:m].all()))
-            if np.less(row, column_minima[:m], out=mask[:m]).any():
-                np.copyto(column_minima[:m], row, where=mask[:m])
-                np.copyto(column_argmins[:m], k, where=mask[:m])
-            previous = row
-            yield row
-
-    tally = _tally_rows(read(), n)
+    if not checks:
+        return _Summary(row_sums, row_maxima, traces)
     return _Summary(
-        tally,
-        row_minima,
-        firsts,
-        second_lasts,
-        lasts,
-        narrowing,
-        column_minima.tolist(),
-        column_argmins.tolist(),
+        row_sums, row_maxima, traces, *per_row, column_minima.tolist(), column_argmins.tolist()
     )
 
 
 class _StreamedCircuit:
-    """The ``n``, ``_tally()`` and ``_summary()`` of a circuit, from streamed rows.
+    """The ``n`` and ``_summary()`` of a circuit, from streamed rows.
 
     The statistics and the checks of ``bounds`` read nothing else, so they run
-    on this base in O(n) memory.  Each cache is filled by one pass over rows
-    derived afresh from the originator, and a cached summary serves tally
-    reads too; threads that race to fill one compute the same one.  Any
-    ``Int64OverflowError`` is raised at the first statistic read.
+    on this base in O(n) memory.  One cached summary is filled by a pass over
+    rows derived afresh from the originator: the statistics ask for the
+    totals alone, the checks for the check fields too, and a summary that
+    holds them serves both.  Threads that race to fill it compute equal
+    ones.  Any ``Int64OverflowError`` is raised at the first statistic read.
     """
 
-    __slots__ = ("originator", "_cached_tally", "_cached_summary")
+    __slots__ = ("originator", "_cached_summary")
 
     def __init__(self, originator: Originator):
         self.originator = originator
-        self._cached_tally: _Tally | None = None
         self._cached_summary: _Summary | None = None
 
     @property
     def n(self) -> int:
         return self.originator.n
 
-    def _tally(self) -> _Tally:
-        """Row sums, row maxima and traces."""
-        if self._cached_summary is not None:
-            return self._cached_summary.tally
-        if self._cached_tally is None:
-            self._cached_tally = _tally_rows(_rows(self.originator), self.n)
-        return self._cached_tally
-
-    def _summary(self) -> _Summary:
-        if self._cached_summary is None:
-            self._cached_summary = _summarize_rows(_rows(self.originator), self.n)
-        return self._cached_summary
+    def _summary(self, checks: bool = True) -> _Summary:
+        """The cached summary; ``checks`` asks for its check fields too."""
+        summary = self._cached_summary
+        if summary is None or (checks and summary.row_minima is None):
+            summary = _summarize_rows(_rows(self.originator), self.n, checks)
+            self._cached_summary = summary
+        return summary
 
 
 class Circuit(_StreamedCircuit):
@@ -306,7 +286,7 @@ class Circuit(_StreamedCircuit):
     Rows live in a single contiguous triangular buffer of n(n-1)/2 segments;
     row k holds exactly n-k segments and is the absolute difference of row
     k-1; rows are slices of it and columns gather through the row offsets.
-    Immutable after construction apart from the cached tally and summary.
+    Immutable after construction apart from the cached summary.
     """
 
     __slots__ = ("_flat", "_starts")
@@ -390,23 +370,23 @@ def path_length(p: Path) -> int:
 
 def path_lengths(c: Circuit) -> list[int]:
     """Length of every row at once: entry k-1 is the order-k path length."""
-    return [_fit(total, "path length") for total in c._tally().row_sums]
+    return [_fit(total, "path length") for total in c._summary(checks=False).row_sums]
 
 
 def circuit_length(c: Circuit) -> int:
     """Sum of all path lengths in the circuit."""
-    return _fit(sum(c._tally().row_sums), "circuit length")
+    return _fit(sum(c._summary(checks=False).row_sums), "circuit length")
 
 
 def trace(c: Circuit, s: int) -> int:
     """Sum of segment s down all rows that reach it: rows 1..n-s."""
     _require_segment(s, c.n - 1)
-    return _fit(c._tally().traces[s - 1], "trace")
+    return _fit(c._summary(checks=False).traces[s - 1], "trace")
 
 
 def traces(c: Circuit) -> list[int]:
     """All traces at once: entry s-1 is the trace of segment s."""
-    return [_fit(total, "trace") for total in c._tally().traces]
+    return [_fit(total, "trace") for total in c._summary(checks=False).traces]
 
 
 def total_maximal_steps(n: int) -> int:

@@ -377,6 +377,8 @@ def search_counterexamples(
         raise RangeError(f"trial count must be at least 1, got {trials}")
     if not 0 <= seed < (1 << 64):
         raise RangeError(f"seed must fit in 64 unsigned bits, got {seed}")
+    if scan_depth < 1:
+        raise RangeError(f"scan depth must be at least 1, got {scan_depth}")
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
     failures = 0

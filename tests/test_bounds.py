@@ -20,11 +20,15 @@ from gapcircuit import (
     check_trace_recurrence,
     check_trace_sum_identity,
     check_zero_existence,
+    circuit_length,
     first_n_primes,
+    path_lengths,
     random_generalized,
     render_sequence,
     run_all_checks,
     summarize,
+    trace,
+    traces,
 )
 from gapcircuit import triangle
 from gapcircuit.bounds import counted, is_equality_case, iter_checks
@@ -33,6 +37,7 @@ from test_triangle import edge_terms_strategy, outcome, terms_strategy
 
 PRIMES5 = build_circuit(Originator([2, 3, 5, 7, 11]))
 CONSTANT = build_circuit(Originator([4, 4, 4, 4]))
+PRIMES60 = build_circuit(Originator(oracle.first_primes(60)))
 
 
 class TestLengthBounds:
@@ -450,8 +455,8 @@ class TestReportStream:
     def test_values_computed_before_the_first_report(self, monkeypatch, terms):
         want = run_all_checks(build_circuit(Originator(terms)))
         reports = iter_checks(_StreamedCircuit(Originator(terms)))
-        for name in ("_summary", "_tally"):
-            monkeypatch.setattr(_StreamedCircuit, name, _refuse)
+        monkeypatch.setattr(_StreamedCircuit, "_summary", _refuse)
+        monkeypatch.setattr(triangle, "_summarize_rows", _refuse)
         monkeypatch.setattr(triangle, "_rows", _refuse)
         read, summary = counted(reports)
         assert list(read) == want
@@ -461,6 +466,46 @@ class TestReportStream:
         c = _StreamedCircuit(Originator([0, (1 << 62) - 1, 0, (1 << 62) - 1, 0]))
         with pytest.raises(Int64OverflowError, match="path length"):
             iter_checks(c)
+
+
+class TestOnePass:
+    """Statistics derive the rows once for the totals alone; the checks derive
+    them once for the full summary, which then serves the statistics too."""
+
+    def stats(self, c):
+        return path_lengths(c), traces(c), trace(c, 1), circuit_length(c)
+
+    def count_rows(self, monkeypatch):
+        """The list of circuits whose rows are derived from now on."""
+        derived, rows = [], triangle._rows
+
+        def counted_rows(o):
+            derived.append(o)
+            return rows(o)
+
+        monkeypatch.setattr(triangle, "_rows", counted_rows)
+        return derived
+
+    def test_stats_then_checks(self, monkeypatch):
+        c = _StreamedCircuit(PRIMES60.originator)
+        want_stats, want_reports = self.stats(PRIMES60), run_all_checks(PRIMES60)
+        derived = self.count_rows(monkeypatch)
+        assert self.stats(c) == want_stats
+        assert derived == [c.originator]
+        assert c._cached_summary[3:] == (None,) * 7
+        assert list(iter_checks(c)) == want_reports
+        assert derived == [c.originator] * 2
+        assert self.stats(c) == want_stats
+        assert len(derived) == 2
+
+    def test_checks_then_stats(self, monkeypatch):
+        c = _StreamedCircuit(PRIMES60.originator)
+        want_stats, want_reports = self.stats(PRIMES60), run_all_checks(PRIMES60)
+        derived = self.count_rows(monkeypatch)
+        assert list(iter_checks(c)) == want_reports
+        assert derived == [c.originator]
+        assert self.stats(c) == want_stats
+        assert derived == [c.originator]
 
 
 @pytest.mark.parametrize("circuit", [build_circuit, _StreamedCircuit])

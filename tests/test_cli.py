@@ -818,6 +818,15 @@ class TestSearchCommand:
         assert err.startswith("error: cannot write to the dump directory: ")
         assert err.endswith(f"{str(path)!r}\n")
 
+    def test_bad_scan_depth_refused_before_any_effect(self, capsys, monkeypatch, tmp_path):
+        # the depth is checked with the trials and the seed: no directory, no draw
+        monkeypatch.setattr(verifier, "random_generalized", _refuse_circuit)
+        path = tmp_path / "D" / "x"
+        argv = ["search", "--n", "5", "--gmax", "4", "--trials", "2", "--scan-depth", "0"]
+        code, out, err = run_cli(capsys, *argv, "--dump-dir", str(path))
+        assert (code, out, err) == (2, "", "error: scan depth must be at least 1, got 0\n")
+        assert not (tmp_path / "D").exists()
+
 
 class TestElapsedMs:
     """Every format prints the one rounded ``elapsed_ms`` of a report."""

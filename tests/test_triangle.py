@@ -22,7 +22,7 @@ from gapcircuit import (
     traces,
     trivial_path,
 )
-from gapcircuit.triangle import CIRCUIT_CELL_LIMIT, _rows, _StreamedCircuit
+from gapcircuit.triangle import CIRCUIT_CELL_LIMIT, _rows, _StreamedCircuit, _Summary
 
 PRIMES5 = Originator([2, 3, 5, 7, 11])
 
@@ -408,13 +408,13 @@ def outcome(read):
 
 
 class TestStreamedTally:
-    """The tally of streamed rows equals the circuit's and the oracle's."""
+    """The totals of streamed rows equal the circuit's and the oracle's."""
 
     def assert_tallies_agree(self, terms):
-        tally = streamed(terms)._tally()
-        assert tally == build_circuit(Originator(terms))._tally()
-        assert (tally.row_sums, tally.traces) == oracle.row_sums_and_traces(terms)
-        assert tally.row_maxima == oracle.row_maxima(terms)
+        totals = streamed(terms)._summary(checks=False)
+        assert totals == build_circuit(Originator(terms))._summary(checks=False)
+        assert (totals.row_sums, totals.traces) == oracle.row_sums_and_traces(terms)
+        assert totals.row_maxima == oracle.row_maxima(terms)
 
     @given(terms_strategy)
     @settings(max_examples=80)
@@ -505,7 +505,7 @@ class TestSummary:
     def assert_summaries_agree(self, terms):
         s = streamed(terms)._summary()
         assert s == build_circuit(Originator(terms))._summary()
-        assert s.tally == streamed(terms)._tally()
+        assert streamed(terms)._summary(checks=False) == _Summary(s.row_sums, s.row_maxima, s.traces)
         edges = oracle.row_edges(terms)
         assert s.row_minima == [e[0] for e in edges]
         assert s.firsts == [e[1] for e in edges]
@@ -534,11 +534,11 @@ class TestSummary:
         # A column whose minimum is 2^63 - 1 keeps row 1 as its first.
         self.assert_summaries_agree(terms)
 
-    def test_tally_reads_the_cached_summary(self, monkeypatch):
+    def test_full_summary_serves_stats_reads(self, monkeypatch):
         s = streamed(oracle.first_primes(50))
         summary = s._summary()
-        monkeypatch.setattr(triangle, "_tally_rows", None)
-        assert s._tally() is summary.tally
+        monkeypatch.setattr(triangle, "_summarize_rows", None)
+        assert s._summary(checks=False) is summary
 
     def test_overflow_raises_at_first_read(self):
         s = streamed([5, 6, -(2**63), 1])
