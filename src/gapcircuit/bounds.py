@@ -15,23 +15,27 @@ A small-segment check whose cap is below the row's first entry derives that
 one row again.
 
 Each check that runs per order or per segment index is one family function
-over a range of indices: it computes the values of the whole range in lists
-and returns the reports as an iterator that makes each one as it is read.
-The public ``check_*(c, k)`` functions read that iterator over one index, and
-``iter_checks`` chains every family, so its errors come before any report.
+over a range of indices: it computes the values of the whole range up front
+and returns them as one ``_Columns`` record, a list per report field; each
+single check returns a one-row record.  ``_check_columns`` evaluates every
+record of the suite in report order, so its errors come before any report.
+``iter_checks`` and the public ``check_*`` functions make ``BoundReport``s
+from the records only as they are read; the ``check`` command writes its JSON
+from the columns themselves, with the counts of ``_column_counts``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any
+from itertools import chain, repeat
+from typing import Any, NamedTuple
 
 from .errors import RangeError
 from .triangle import (
     Circuit,
     _fit,
+    _Summary,
     _require_segment,
     circuit_length,
     path_of_order,
@@ -76,22 +80,114 @@ class BoundReport:
         return payload
 
 
+class _Columns(NamedTuple):
+    """The reports of one check, a list per field: a row per index, or one row.
+
+    Where ``indices`` is a range, row i is the report at ``indices[i]`` and
+    ``name`` holds ``%d`` for that index; a one-row record has ``indices``
+    None and its name as it is.  ``middle`` is None where the reports have
+    none, ``witnesses`` where every row has none, and ``extra`` maps each key
+    to its column, or is None where the reports carry no extra.  A key whose
+    values are lists of scalars maps to a tuple of columns instead, one per
+    list item.  A column is any sequence of values of one type.
+    """
+
+    name: str
+    indices: range | None
+    lhs: list[int]
+    rhs: list[int]
+    holds: list[bool]
+    precondition_met: list[bool]
+    middle: list[int] | None = None
+    witnesses: list[tuple[tuple[int, int], ...]] | None = None
+    extra: dict[str, Sequence | tuple[Sequence, ...]] | None = None
+
+
+def _one(
+    name: str,
+    lhs: int,
+    rhs: int,
+    holds: bool,
+    precondition_met: bool,
+    middle: int | None = None,
+    witnesses: tuple[tuple[int, int], ...] = (),
+    extra: dict[str, Any] | None = None,
+) -> _Columns:
+    """The one-row record of the report these ``BoundReport`` fields make."""
+    return _Columns(
+        name,
+        None,
+        [lhs],
+        [rhs],
+        [holds],
+        [precondition_met],
+        None if middle is None else [middle],
+        [witnesses],
+        {
+            key: tuple([item] for item in value) if isinstance(value, list) else [value]
+            for key, value in extra.items()
+        }
+        if extra
+        else None,
+    )
+
+
+def _reports(r: _Columns) -> Iterator[BoundReport]:
+    """The record's reports, each made as it is read."""
+    names = [r.name] if r.indices is None else map(r.name.__mod__, r.indices)
+    extras = repeat(None)
+    if r.extra:
+        # A tuple of columns makes a list a row; of no columns, an empty list.
+        columns = [
+            map(list, zip(*column) if column else repeat((), len(r.lhs)))
+            if isinstance(column, tuple)
+            else column
+            for column in r.extra.values()
+        ]
+        extras = (dict(zip(r.extra, values)) for values in zip(*columns))
+    return map(
+        BoundReport,
+        names,
+        r.lhs,
+        r.rhs,
+        r.holds,
+        r.precondition_met,
+        repeat(None) if r.middle is None else r.middle,
+        repeat(()) if r.witnesses is None else r.witnesses,
+        extras,
+    )
+
+
+def _report(r: _Columns) -> BoundReport:
+    """The report of a one-row record."""
+    return next(_reports(r))
+
+
+def _shared(items: Iterable[tuple]) -> list[tuple]:
+    """``items`` as a list in which equal tuples are one object.
+
+    A witness column holds one tuple a row; on prime prefixes most of them
+    are equal, and sharing them keeps the column to a pointer a row.
+    """
+    made: dict[tuple, tuple] = {}
+    return [made.setdefault(item, item) for item in items]
+
+
 def _require_order(k: int, hi: int) -> None:
     if not 1 <= k <= hi:
         raise RangeError(f"order must be in [1, {hi}], got {k}")
 
 
-def _edge_gap(c: Circuit, k: int) -> int:
-    """|last-reachable minus first segment| of row k-1: the lower-bound seed.
+def _edge_gaps(c: Circuit) -> list[int]:
+    """|last-reachable minus first segment| of row k-1 for orders k = 1..n-1.
 
-    Row k-1 holds n-k+1 segments, so the last reachable one is its
-    second-to-last.
+    These are the lower-bound seeds.  Row k-1 holds n-k+1 segments, so the
+    last reachable one is its second-to-last.
     """
-    if k == 1:
-        a = c.originator.terms
-        return abs(int(a[c.n - 2]) - int(a[0]))
+    a = c.originator.terms
     summary = c._summary()
-    return abs(summary.second_lasts[k - 2] - summary.firsts[k - 2])
+    first = abs(int(a[c.n - 2]) - int(a[0]))
+    return [first] + [abs(last - lead) for last, lead in zip(summary.second_lasts, summary.firsts)]
 
 
 def _sandwich_lower(gaps: list[int]) -> int:
@@ -114,21 +210,26 @@ def _panel_integral(maxima: list[int]) -> int:
     return total
 
 
-def _length_bounds(c: Circuit, orders: range, lowers: list[int]) -> Iterator[BoundReport]:
+def _traces(c: Circuit, segments: range) -> list[int]:
+    """The traces of ``segments``, each fitted in order as ``trace`` fits it."""
+    totals = c._summary().traces[segments.start - 1 : segments.stop - 1]
+    return [_fit(total, "trace") for total in totals]
+
+
+def _length_bounds(c: Circuit, orders: range, lowers: list[int]) -> _Columns:
     summary = c._summary()
-    lengths = [_fit(summary.row_sums[k - 1], "path length") for k in orders]
-    return (
-        BoundReport(
-            name=f"length_bounds(k={k})",
-            lhs=lower,
-            middle=length,
-            rhs=upper,
-            holds=lower <= length <= upper,
-            precondition_met=True,
-        )
-        for k, lower, length, upper in zip(
-            orders, lowers, lengths, [(c.n - k) * summary.row_maxima[k - 1] for k in orders]
-        )
+    n = c.n
+    rows = slice(orders.start - 1, orders.stop - 1)
+    lengths = [_fit(total, "path length") for total in summary.row_sums[rows]]
+    uppers = [(n - k) * top for k, top in zip(orders, summary.row_maxima[rows])]
+    return _Columns(
+        "length_bounds(k=%d)",
+        orders,
+        lowers,
+        uppers,
+        [lower <= length <= upper for lower, length, upper in zip(lowers, lengths, uppers)],
+        [True] * len(orders),
+        middle=lengths,
     )
 
 
@@ -139,12 +240,14 @@ def check_length_bounds(c: Circuit, k: int) -> BoundReport:
     holds iff lower <= length <= upper.
     """
     _require_order(k, c.n - 1)
-    return next(_length_bounds(c, range(k, k + 1), [_edge_gap(c, k)]))
+    return _report(_length_bounds(c, range(k, k + 1), [_edge_gaps(c)[k - 1]]))
 
 
-def _first_at_most(c: Circuit, k: int, cap: int) -> tuple[tuple[int, int], ...]:
-    """The witnesses: the first 1-based (m, d_m) of row k with d_m <= cap, if any."""
-    summary = c._summary()
+def _first_at_most(c: Circuit, summary: _Summary, k: int, cap: int) -> tuple[tuple[int, int], ...]:
+    """The witnesses: the first 1-based (m, d_m) of row k with d_m <= cap, if any.
+
+    ``summary`` is the circuit's, with its check fields.
+    """
     if summary.firsts[k - 1] <= cap:
         return ((1, summary.firsts[k - 1]),)
     if summary.row_minima[k - 1] > cap:
@@ -155,26 +258,19 @@ def _first_at_most(c: Circuit, k: int, cap: int) -> tuple[tuple[int, int], ...]:
     return ((m, int(row[m - 1])),)
 
 
-def _small_segments(c: Circuit, orders: range, caps: list[int]) -> Iterator[BoundReport]:
+def _small_segments(c: Circuit, orders: range, caps: list[int]) -> _Columns:
     summary = c._summary()
     rows = slice(orders.start - 1, orders.stop - 1)
-    return (
-        BoundReport(
-            name=f"small_segment_existence(k={k})",
-            lhs=smallest,
-            rhs=cap,
-            holds=smallest <= cap,
-            precondition_met=largest <= cap,
-            witnesses=witnesses,
-            extra={"cap": cap},
-        )
-        for k, cap, largest, smallest, witnesses in zip(
-            orders,
-            caps,
-            summary.row_maxima[rows],
-            summary.row_minima[rows],
-            [_first_at_most(c, k, cap) for k, cap in zip(orders, caps)],
-        )
+    smallest = summary.row_minima[rows]
+    return _Columns(
+        "small_segment_existence(k=%d)",
+        orders,
+        smallest,
+        caps,
+        [least <= cap for least, cap in zip(smallest, caps)],
+        [top <= cap for top, cap in zip(summary.row_maxima[rows], caps)],
+        witnesses=_shared(_first_at_most(c, summary, k, cap) for k, cap in zip(orders, caps)),
+        extra={"cap": caps},
     )
 
 
@@ -187,29 +283,33 @@ def check_small_segment_existence(c: Circuit, k: int, cap: int) -> BoundReport:
     _require_order(k, c.n - 1)
     if cap < 1:
         raise RangeError(f"cap must be positive, got {cap}")
-    return next(_small_segments(c, range(k, k + 1), [cap]))
+    return _report(_small_segments(c, range(k, k + 1), [cap]))
 
 
-def _monotone_decreases(c: Circuit, orders: range) -> Iterator[BoundReport]:
+def _monotone_decreases(c: Circuit, orders: range) -> _Columns:
     summary = c._summary()
     sums = summary.row_sums
-    # Each order's next row is fitted first: (shorter, longer).
-    pairs = [(_fit(sums[k], "path length"), _fit(sums[k - 1], "path length")) for k in orders]
-    return (
-        BoundReport(
-            name=f"monotone_length_decrease(k={k})",
-            lhs=shorter,
-            rhs=longer,
-            holds=shorter < longer,
-            precondition_met=narrowing,
-            extra={
-                "non_strict_holds": shorter <= longer,
-                "hypothesis_range": [1, c.n - k - 1],
-            },
-        )
-        for k, (shorter, longer), narrowing in zip(
-            orders, pairs, summary.narrowing[orders.start - 1 : orders.stop - 1]
-        )
+    n = c.n
+    shorter, longer = [], []
+    for k in orders:
+        # Each order's next row is fitted first.
+        shorter.append(_fit(sums[k], "path length"))
+        longer.append(_fit(sums[k - 1], "path length"))
+    return _Columns(
+        "monotone_length_decrease(k=%d)",
+        orders,
+        shorter,
+        longer,
+        [low < high for low, high in zip(shorter, longer)],
+        summary.narrowing[orders.start - 1 : orders.stop - 1],
+        extra={
+            "non_strict_holds": [low <= high for low, high in zip(shorter, longer)],
+            # [1, n - k - 1] for each order k, as a column per item.
+            "hypothesis_range": (
+                [1] * len(orders),
+                range(n - 1 - orders.start, n - 1 - orders.stop, -1),
+            ),
+        },
     )
 
 
@@ -222,7 +322,7 @@ def check_monotone_length_decrease(c: Circuit, k: int) -> BoundReport:
     ``extra`` because all-zero rows can only achieve equality.
     """
     _require_order(k, c.n - 2)
-    return next(_monotone_decreases(c, range(k, k + 1)))
+    return _report(_monotone_decreases(c, range(k, k + 1)))
 
 
 def check_circuit_bounds(c: Circuit) -> BoundReport:
@@ -233,14 +333,14 @@ def check_circuit_bounds(c: Circuit) -> BoundReport:
     """
     if c.n < 3:
         raise RangeError(f"circuit bounds need at least three terms, got {c.n}")
-    return _circuit_bounds(c, _sandwich_lower([_edge_gap(c, k) for k in range(1, c.n - 1)]))
+    return _report(_circuit_bounds(c, _sandwich_lower(_edge_gaps(c)[:-1])))
 
 
-def _circuit_bounds(c: Circuit, lower: int) -> BoundReport:
+def _circuit_bounds(c: Circuit, lower: int) -> _Columns:
     maxima = c._summary().row_maxima
     upper = sum(maxima) + _panel_integral(maxima)
     kappa = circuit_length(c)
-    return BoundReport(
+    return _one(
         name="circuit_bounds",
         lhs=lower,
         middle=kappa,
@@ -250,20 +350,20 @@ def _circuit_bounds(c: Circuit, lower: int) -> BoundReport:
     )
 
 
-def _trace_recurrences(c: Circuit, segments: range) -> Iterator[BoundReport]:
+def _trace_recurrences(c: Circuit, segments: range) -> _Columns:
+    n = c.n
     lasts = c._summary().lasts
-    tau = [trace(c, s) for s in range(segments.start, segments.stop + 1)]
+    tau = _traces(c, range(segments.start, segments.stop + 1))
     a = c.originator.terms[segments.start - 1 : segments.stop].tolist()
-    rhs = [(a[i + 1] - a[i]) + lasts[c.n - s - 1] + tau[i + 1] for i, s in enumerate(segments)]
-    return (
-        BoundReport(
-            name=f"trace_recurrence(s={s})",
-            lhs=lhs,
-            rhs=rhs,
-            holds=lhs >= rhs,
-            precondition_met=True,
-        )
-        for s, lhs, rhs in zip(segments, [2 * t for t in tau], rhs)
+    lhs = [2 * t for t in tau[:-1]]
+    rhs = [(a[i + 1] - a[i]) + lasts[n - s - 1] + tau[i + 1] for i, s in enumerate(segments)]
+    return _Columns(
+        "trace_recurrence(s=%d)",
+        segments,
+        lhs,
+        rhs,
+        [left >= right for left, right in zip(lhs, rhs)],
+        [True] * len(segments),
     )
 
 
@@ -274,7 +374,7 @@ def check_trace_recurrence(c: Circuit, s: int) -> BoundReport:
     holds iff lhs >= rhs.
     """
     _require_segment(s, c.n - 2)
-    return next(_trace_recurrences(c, range(s, s + 1)))
+    return _report(_trace_recurrences(c, range(s, s + 1)))
 
 
 def check_average_trace_bound(c: Circuit) -> BoundReport:
@@ -288,25 +388,25 @@ def check_average_trace_bound(c: Circuit) -> BoundReport:
     """
     if c.n < 3:
         raise RangeError(f"average trace bound needs at least three terms, got {c.n}")
-    return _average_trace_bound(c, _sandwich_lower([_edge_gap(c, k) for k in range(1, c.n - 1)]))
+    return _report(_average_trace_bound(c, _sandwich_lower(_edge_gaps(c)[:-1])))
 
 
-def _average_trace_bound(c: Circuit, lower: int) -> BoundReport:
-    n = c.n
+def _average_trace_bound(c: Circuit, lower: int) -> _Columns:
     maxima = c._summary().row_maxima
-    upper = (n - 1) * max(maxima) + _panel_integral(maxima)
+    top = max(maxima)
+    upper = (c.n - 1) * top + _panel_integral(maxima)
     tau = traces(c)
     middle = sum(tau)
-    m_min = min(range(1, n), key=lambda s: tau[s - 1])
-    k_max = max(range(1, n), key=lambda k: maxima[k - 1])
-    return BoundReport(
+    # The first index of each extreme, 1-based.
+    least = min(tau)
+    return _one(
         name="average_trace_bound",
         lhs=lower,
         middle=middle,
         rhs=upper,
         holds=lower <= middle <= upper,
         precondition_met=True,
-        witnesses=((m_min, tau[m_min - 1]), (k_max, maxima[k_max - 1])),
+        witnesses=((tau.index(least) + 1, least), (maxima.index(top) + 1, top)),
     )
 
 
@@ -318,16 +418,20 @@ def check_trace_circuit_theorem(c: Circuit) -> BoundReport:
     trace(n-1) = a_n - a_{n-1}, so the precondition records a_n >= a_{n-1};
     both sides are evaluated regardless.
     """
+    if c.n < 3:
+        raise RangeError(f"the trace-circuit bound needs at least three terms, got {c.n}")
+    return _report(_trace_circuit_theorem(c))
+
+
+def _trace_circuit_theorem(c: Circuit) -> _Columns:
     n = c.n
-    if n < 3:
-        raise RangeError(f"the trace-circuit bound needs at least three terms, got {n}")
     a = c.originator.terms
     a_1, a_last, a_prev = int(a[0]), int(a[n - 1]), int(a[n - 2])
     # Segment j of row n-j is that row's last, for j = 1..n-2.
     diagonal = sum(c._summary().lasts[1:])
     lhs = circuit_length(c) + trace(c, 1)
     rhs = (2 * a_last - a_prev - a_1) + diagonal
-    return BoundReport(
+    return _one(
         name="trace_circuit_theorem",
         lhs=lhs,
         rhs=rhs,
@@ -336,25 +440,24 @@ def check_trace_circuit_theorem(c: Circuit) -> BoundReport:
     )
 
 
-def _zero_existences(c: Circuit, segments: range) -> Iterator[BoundReport]:
+def _zero_existences(c: Circuit, segments: range) -> _Columns:
     summary = c._summary()
+    n = c.n
     columns = slice(segments.start - 1, segments.stop - 1)
     # Rows 1.. hold no negative segment, so a zero is the column minimum.
-    return (
-        BoundReport(
-            name=f"zero_existence(s={s})",
-            lhs=smallest,
-            rhs=0,
-            holds=smallest == 0,
-            precondition_met=tau < c.n - s,
-            witnesses=((row, 0),) if smallest == 0 else (),
-        )
-        for s, tau, smallest, row in zip(
-            segments,
-            [trace(c, s) for s in segments],
-            summary.column_minima[columns],
-            summary.column_argmins[columns],
-        )
+    smallest = summary.column_minima[columns]
+    tau = _traces(c, segments)
+    return _Columns(
+        "zero_existence(s=%d)",
+        segments,
+        smallest,
+        [0] * len(segments),
+        [least == 0 for least in smallest],
+        [t < n - s for s, t in zip(segments, tau)],
+        witnesses=_shared(
+            ((row, 0),) if least == 0 else ()
+            for least, row in zip(smallest, summary.column_argmins[columns])
+        ),
     )
 
 
@@ -365,7 +468,7 @@ def check_zero_existence(c: Circuit, s: int) -> BoundReport:
     d_s = 0; the witness is the smallest such t.
     """
     _require_segment(s, c.n - 1)
-    return next(_zero_existences(c, range(s, s + 1)))
+    return _report(_zero_existences(c, range(s, s + 1)))
 
 
 def check_strong_gilbreath(c: Circuit) -> BoundReport:
@@ -376,6 +479,10 @@ def check_strong_gilbreath(c: Circuit) -> BoundReport:
     forced — n-1 positive integers summing to n-1 are all 1 — so a met
     precondition with a failing conclusion marks an internal inconsistency.
     """
+    return _report(_strong_gilbreath(c))
+
+
+def _strong_gilbreath(c: Circuit) -> _Columns:
     n = c.n
     leaders = c._summary().firsts
     tau_1 = trace(c, 1)
@@ -386,7 +493,7 @@ def check_strong_gilbreath(c: Circuit) -> BoundReport:
     extra = None
     if precondition and not holds:
         extra = {"internal_inconsistency": True}
-    return BoundReport(
+    return _one(
         name="strong_gilbreath",
         lhs=tau_1,
         rhs=n - 1,
@@ -399,9 +506,13 @@ def check_strong_gilbreath(c: Circuit) -> BoundReport:
 
 def check_trace_sum_identity(c: Circuit) -> BoundReport:
     """The circuit length equals the sum of all traces, exactly."""
+    return _report(_trace_sum_identity(c))
+
+
+def _trace_sum_identity(c: Circuit) -> _Columns:
     kappa = circuit_length(c)
     tau_total = sum(traces(c))
-    return BoundReport(
+    return _one(
         name="trace_sum_identity",
         lhs=kappa,
         rhs=tau_total,
@@ -410,27 +521,38 @@ def check_trace_sum_identity(c: Circuit) -> BoundReport:
     )
 
 
+def _check_columns(c: Circuit) -> list[_Columns]:
+    """The records of ``run_all_checks``' reports, in its order.
+
+    Every compared value is computed here, in report order, so the first
+    ``Int64OverflowError`` that order meets is the one raised.
+    """
+    n = c.n
+    caps = [max(top, 1) for top in c._summary().row_maxima]
+    gaps = _edge_gaps(c)
+    sandwiches = n >= 3
+    lower = _sandwich_lower(gaps[:-1]) if sandwiches else None
+    # A list display evaluates its items in order.
+    return [
+        _length_bounds(c, range(1, n), gaps),
+        _small_segments(c, range(1, n), caps),
+        _monotone_decreases(c, range(1, n - 1)),
+        *([_circuit_bounds(c, lower)] if sandwiches else []),
+        _trace_recurrences(c, range(1, n - 1)),
+        *([_average_trace_bound(c, lower), _trace_circuit_theorem(c)] if sandwiches else []),
+        _zero_existences(c, range(1, n)),
+        _strong_gilbreath(c),
+        _trace_sum_identity(c),
+    ]
+
+
 def iter_checks(c: Circuit) -> Iterator[BoundReport]:
     """The reports of ``run_all_checks``, in its order, each made as it is read.
 
     Every compared value is computed before this returns, so an
     ``Int64OverflowError`` is raised here and not while the reports are read.
     """
-    n = c.n
-    caps = [max(top, 1) for top in c._summary().row_maxima]
-    gaps = [_edge_gap(c, k) for k in range(1, n)]
-    lower = _sandwich_lower(gaps[:-1]) if n >= 3 else None
-    # Arguments are evaluated in order, so errors are raised in report order.
-    return chain(
-        _length_bounds(c, range(1, n), gaps),
-        _small_segments(c, range(1, n), caps),
-        _monotone_decreases(c, range(1, n - 1)),
-        [_circuit_bounds(c, lower)] if n >= 3 else [],
-        _trace_recurrences(c, range(1, n - 1)),
-        [_average_trace_bound(c, lower), check_trace_circuit_theorem(c)] if n >= 3 else [],
-        _zero_existences(c, range(1, n)),
-        [check_strong_gilbreath(c), check_trace_sum_identity(c)],
-    )
+    return chain.from_iterable(map(_reports, _check_columns(c)))
 
 
 def run_all_checks(c: Circuit) -> list[BoundReport]:
@@ -479,6 +601,24 @@ def counted(reports: Iterable[BoundReport]) -> tuple[Iterator[BoundReport], dict
             yield r
 
     return read(), summary
+
+
+def _column_counts(records: Iterable[_Columns]) -> dict[str, int]:
+    """The summary counts of the records' reports, by ``report_status``'s rule."""
+    summary = {"checked": 0, "held": 0, "vacuous": 0, "failed": 0}
+    for r in records:
+        met = r.precondition_met
+        unheld = [
+            i for i, (hypothesis, held) in enumerate(zip(met, r.holds)) if hypothesis and not held
+        ]
+        non_strict = r.extra.get("non_strict_holds") if r.extra else None
+        equal = sum(1 for i in unheld if non_strict and non_strict[i] and r.lhs[i] == r.rhs[i])
+        vacuous = met.count(False)
+        summary["checked"] += len(met)
+        summary["held"] += len(met) - vacuous - len(unheld) + equal
+        summary["vacuous"] += vacuous
+        summary["failed"] += len(unheld) - equal
+    return summary
 
 
 def summarize(reports: list[BoundReport]) -> dict[str, int]:

@@ -11,17 +11,28 @@ entropy; timing figures appear only under --timing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from functools import cache, partial
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import sieve
-from .bounds import BoundReport, counted, iter_checks, report_status
+from .bounds import (
+    BoundReport,
+    _check_columns,
+    _Columns,
+    _column_counts,
+    counted,
+    iter_checks,
+    report_status,
+)
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps them by
 # their names in this module.
 from .bounds import run_all_checks, summarize  # noqa: F401
@@ -55,7 +66,8 @@ from .verifier import (
 
 DEFAULT_TRIANGLE_CAP = 10_000
 
-# Scalar values held before each write: the rendered JSON is never held whole.
+# Scalar values held before each write, or check's reports written at once:
+# the rendered JSON is never held whole.
 JSON_BATCH_CHUNKS = 4096
 
 
@@ -64,7 +76,7 @@ _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: json.dumps,
-    bool: lambda value: "true" if value else "false",
+    bool: ("false", "true").__getitem__,
     type(None): lambda value: "null",
 }
 _SCALAR_TYPES = frozenset(_SCALARS)
@@ -153,6 +165,128 @@ def _emit_json(payload) -> None:
     _put_json(payload, 0, out)
     out.append("\n")
     sys.stdout.write("".join(out))
+
+
+@cache
+def _report_template(shape: tuple) -> tuple[str, list[int]]:
+    """A report's JSON text, as ``_put_json`` writes it at depth 2, as a ``%`` template.
+
+    ``shape`` is whether the report has a middle, its number of witnesses,
+    and its extra's (key, kind) pairs or None, where a kind is the value's
+    type or, for a list, the tuple of its items' types.  A stub report
+    holding a distinct marker int in every scalar is written by ``_put_json``,
+    and each marker becomes a slot: ``%d`` for an int, ``%s`` for any other
+    value spelled beforehand.  The slots come in the order of the columns of
+    ``_report_columns``; the returned list gives, for each slot of the text,
+    the column it reads.
+    """
+    middle, witnesses, extra = shape
+    # Markers all have one number of digits, more than any key's JSON text
+    # holds, so no marker is inside a key or another marker.
+    width = max((len(encode_basestring_ascii(key)) for key, _ in extra or ()), default=0)
+    base = 10 ** (width + 9)
+    slots: list[str] = []
+
+    def marker(kind) -> int:
+        slots.append("%d" if kind is int else "%s")
+        return base + len(slots)
+
+    report = BoundReport(
+        name=marker(str),
+        lhs=marker(int),
+        rhs=marker(int),
+        holds=marker(bool),
+        precondition_met=marker(bool),
+        middle=marker(int) if middle else None,
+        witnesses=tuple((marker(int), marker(int)) for _ in range(witnesses)),
+        extra=None
+        if extra is None
+        else {
+            key: list(map(marker, kind)) if isinstance(kind, tuple) else marker(kind)
+            for key, kind in extra
+        },
+    )
+    out: list[str] = []
+    # _put_json writes a batch to stdout once it holds JSON_BATCH_CHUNKS items.
+    with contextlib.redirect_stdout(io.StringIO()) as written:
+        _put_json(report, 2, out)
+    text = (written.getvalue() + "".join(out)).replace("%", "%%")
+    markers = [str(base + 1 + column) for column in range(len(slots))]
+    order = sorted(range(len(slots)), key=lambda column: text.index(markers[column]))
+    for column in order:
+        text = text.replace(markers[column], slots[column])
+    return text, order
+
+
+def _report_columns(r: _Columns, rows: slice, witnesses: int, extra) -> list[Iterable]:
+    """The template columns of ``rows`` of ``r``, whose reports hold ``witnesses`` each."""
+    name = encode_basestring_ascii(r.name)
+    spell = _SCALARS[bool]
+    columns = [
+        [name] if r.indices is None else map(name.__mod__, r.indices[rows]),
+        r.lhs[rows],
+        r.rhs[rows],
+        map(spell, r.holds[rows]),
+        map(spell, r.precondition_met[rows]),
+    ]
+    if r.middle is not None:
+        columns.append(r.middle[rows])
+    if witnesses:
+        # Each row's pairs flattened: (index, value) of witness 1, of witness 2...
+        flat = list(chain.from_iterable(chain.from_iterable(r.witnesses[rows])))
+        columns += [flat[at :: 2 * witnesses] for at in range(2 * witnesses)]
+    for key, kind in extra or ():
+        column = r.extra[key]
+        if not isinstance(kind, tuple):
+            column, kind = (column,), (kind,)
+        for items, item_kind in zip(column, kind):
+            items = items[rows]
+            columns.append(items if item_kind is int else map(_SCALARS[item_kind], items))
+    return columns
+
+
+def _report_slices(r: _Columns) -> Iterator[list[str]]:
+    """The JSON texts of ``r``'s reports at depth 2, in lists of at most ``JSON_BATCH_CHUNKS``.
+
+    Rows of one witness count share a template; a record's other fields
+    have one shape for all its rows.
+    """
+    counts = repeat(0, len(r.lhs)) if r.witnesses is None else map(len, r.witnesses)
+    start = 0
+    for witnesses, run in groupby(counts):
+        stop = start + len(list(run))
+        extra = None
+        if r.extra:
+            extra = tuple(
+                (key, tuple(type(items[start]) for items in column))
+                if isinstance(column, tuple)
+                else (key, type(column[start]))
+                for key, column in r.extra.items()
+            )
+        text, order = _report_template((r.middle is not None, witnesses, extra))
+        for first in range(start, stop, JSON_BATCH_CHUNKS):
+            rows = slice(first, min(first + JSON_BATCH_CHUNKS, stop))
+            columns = _report_columns(r, rows, witnesses, extra)
+            yield list(map(text.__mod__, zip(*[columns[column] for column in order])))
+        start = stop
+
+
+def _emit_check_json(records: list[_Columns], summary: dict[str, int]) -> None:
+    """Write ``check``'s JSON from the records' columns, ``JSON_BATCH_CHUNKS`` reports a write.
+
+    The bytes are those of ``_emit_json`` on ``{"reports": [...], "summary":
+    summary}`` with each report's JSON dict; no report is made.
+    """
+    write = sys.stdout.write
+    separator = '{\n  "reports": [\n    '
+    for texts in chain.from_iterable(map(_report_slices, records)):
+        write(separator + ",\n    ".join(texts))
+        separator = ",\n    "
+    # The list is never empty: every circuit gets the two whole-circuit checks.
+    out = ['\n  ],\n  "summary": ']
+    _put_json(summary, 1, out)
+    out.append("\n}\n")
+    write("".join(out))
 
 
 def _emit(format: str, payload, rows: Iterable[list], lines: Iterable[str]) -> None:
@@ -300,12 +434,18 @@ def _check_text(reports: Iterable[BoundReport], summary: dict[str, int]) -> Iter
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    # Every value is computed here, before a byte is written; each report is
-    # made and counted only as it is written.  The summary follows the reports
-    # in every format, so its counts are complete by then.
-    reports, summary = counted(iter_checks(_streamed_circuit(_resolve_originator(args))))
-    payload = {"reports": reports, "summary": summary}
-    _emit(args.format, payload, _check_csv(reports), _check_text(reports, summary))
+    # Every value is computed here, before a byte is written.  JSON is written
+    # from the checks' columns; csv and text make and count each report only
+    # as it is written, and their summary follows the reports, so its counts
+    # are complete by then.
+    c = _streamed_circuit(_resolve_originator(args))
+    if args.format == "json":
+        records = _check_columns(c)
+        summary = _column_counts(records)
+        _emit_check_json(records, summary)
+    else:
+        reports, summary = counted(iter_checks(c))
+        _emit(args.format, None, _check_csv(reports), _check_text(reports, summary))
     return 0 if summary["failed"] == 0 else 1
 
 

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -18,17 +18,20 @@ from hypothesis import strategies as st
 import oracle
 from gapcircuit import (
     BoundReport,
+    bounds,
     Int64OverflowError,
     Originator,
     build_circuit,
     cli,
     run_all_checks,
     sieve,
+    summarize,
     triangle,
     verifier,
 )
 from gapcircuit.cli import main
 from gapcircuit.verifier import SearchReport, VerifyReport
+from test_triangle import edge_terms_strategy, outcome, terms_strategy
 
 
 def run_cli(capsys, *argv):
@@ -480,6 +483,106 @@ class TestJsonWriter:
         monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", batch)
         assert run_cli(capsys, "check", "--primes", "30") == want
         assert want[1] == json.dumps(json.loads(want[1]), indent=2) + "\n"
+
+
+# Originators for check: prime prefixes, mixed signs, constants (equality
+# cases) and the int64 edge, some of which overflow.
+check_terms = st.one_of(
+    st.integers(2, 150).map(oracle.first_primes),
+    terms_strategy,
+    st.tuples(st.integers(-(10**15), 10**15), st.integers(2, 30)).map(lambda vn: [vn[0]] * vn[1]),
+    edge_terms_strategy,
+)
+
+# Report shapes: 0-2 witnesses, middle or not, extras of ints, bools and
+# lists of them, and names that hold %, quotes and non-ASCII.
+template_reports = st.builds(
+    BoundReport,
+    name=st.text() | st.sampled_from(["100%", "%d %s %%(k)s", 'q"\\é\u2028', "trace(s=%d)"]),
+    lhs=st.integers(),
+    rhs=st.integers(),
+    holds=st.booleans(),
+    precondition_met=st.booleans(),
+    middle=st.none() | st.integers(),
+    witnesses=st.lists(st.tuples(st.integers(), st.integers()), max_size=2).map(tuple),
+    extra=st.none()
+    | st.just({"internal_inconsistency": True})
+    | st.dictionaries(
+        st.text() | st.sampled_from(["%", "%d", "1", '"']),
+        st.integers() | st.booleans() | st.lists(st.integers() | st.booleans(), max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+def _refuse_report(*args, **kwargs):
+    raise AssertionError("a report was made")
+
+
+def _report_text(report) -> str:
+    """``_put_json``'s text of one report in check's list of reports."""
+    out = []
+    cli._put_json(report, 2, out)
+    return "".join(out)
+
+
+class TestCheckColumns:
+    """check's JSON is written from the checks' columns, a template per report
+    shape, with the bytes of json.dumps over run_all_checks."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 4096])
+    @given(terms=check_terms)
+    @example(terms=[0, 1])
+    @example(terms=[5, 6, -(2**63), 1])
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, batch, terms):
+        path = tmp_path_factory.mktemp("check") / "terms.txt"
+        path.write_text("\n".join(map(str, terms)) + "\n")
+        reports = outcome(lambda: run_all_checks(build_circuit(Originator(terms))))
+        with mock.patch.object(cli, "JSON_BATCH_CHUNKS", batch), redirect_stdout(
+            io.StringIO()
+        ) as out, redirect_stderr(io.StringIO()) as err:
+            code = main(["check", "--file", str(path)])
+        if isinstance(reports, tuple):
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {reports[1]}\n")
+            return
+        summary = summarize(reports)
+        payload = {"reports": [r.to_json_dict() for r in reports], "summary": summary}
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+        assert code == (summary["failed"] > 0)
+        records = bounds._check_columns(triangle._StreamedCircuit(Originator(terms)))
+        assert bounds._column_counts(records) == summary
+
+    @given(report=template_reports)
+    @example(report=BoundReport("x", 1, 2, True, False, extra={"a": [], "b": [True, 3]}))
+    @settings(max_examples=200, deadline=None)
+    def test_template_render_equals_put_json(self, report):
+        fields = {name: getattr(report, name) for name in BoundReport.__dataclass_fields__}
+        record = bounds._one(**fields)
+        assert list(cli._report_slices(record)) == [[_report_text(report)]]
+        assert bounds._report(record) == report
+
+    def test_no_report_made(self, capsys, monkeypatch):
+        # The first run also fills the template cache for every shape it meets.
+        want = run_cli(capsys, "check", "--primes", "200", "--format", "json")
+        monkeypatch.setattr(BoundReport, "__init__", _refuse_report)
+        monkeypatch.setattr(BoundReport, "to_json_dict", _refuse_report)
+        monkeypatch.setattr(bounds, "report_status", _refuse_report)
+        monkeypatch.setattr(bounds, "is_equality_case", _refuse_report)
+        assert run_cli(capsys, "check", "--primes", "200", "--format", "json") == want
+
+    def test_written_in_slices(self, monkeypatch):
+        # no write holds more than JSON_BATCH_CHUNKS reports
+        want = run_all_checks(build_circuit(Originator(oracle.first_primes(30))))
+        writes = []
+        monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", 4)
+        monkeypatch.setattr(cli.sys, "stdout", mock.Mock(write=writes.append))
+        assert main(["check", "--primes", "30"]) == 0
+        assert len(writes) > len(want) // 4
+        assert max(text.count('"name": ') for text in writes) <= 4
+        payload = {"reports": [r.to_json_dict() for r in want], "summary": summarize(want)}
+        assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
 
 
 class TestCheckCommand:
