@@ -20,14 +20,15 @@ and returns them as one ``_Columns`` record, a list per report field; each
 single check returns a one-row record.  ``_check_columns`` evaluates every
 record of the suite in report order, so its errors come before any report.
 ``iter_checks`` and the public ``check_*`` functions make ``BoundReport``s
-from the records only as they are read; the ``check`` command writes its JSON
-from the columns themselves, with the counts of ``_column_counts``.
+from the records only as they are read; the ``check`` command writes every
+format from the columns themselves, with the status columns of ``_statuses``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Any, NamedTuple
 
@@ -565,65 +566,45 @@ def run_all_checks(c: Circuit) -> list[BoundReport]:
     return list(iter_checks(c))
 
 
-def is_equality_case(report: BoundReport) -> bool:
+def _status(met: bool, held: bool, lhs: int, rhs: int, non_strict) -> str:
+    """A report's status: "vacuous" (hypothesis unmet), "held", "equality" or "FAILED"."""
+    if not met:
+        return "vacuous"
+    if held:
+        return "held"
+    return "equality" if non_strict and lhs == rhs else "FAILED"
+
+
+def is_equality_case(r: BoundReport) -> bool:
     """True for a strict comparison that failed only by landing on equality."""
-    return (
-        not report.holds
-        and report.lhs == report.rhs
-        and bool(report.extra)
-        and report.extra.get("non_strict_holds", False)
-    )
+    return report_status(replace(r, precondition_met=True)) == "equality"
 
 
 def report_status(r: BoundReport) -> str:
-    """The report's status: "vacuous" (hypothesis unmet), "held", "equality" or "FAILED"."""
-    if not r.precondition_met:
-        return "vacuous"
-    if r.holds:
-        return "held"
-    if is_equality_case(r):
-        return "equality"
-    return "FAILED"
+    """The report's status, by ``_status``."""
+    non_strict = (r.extra or {}).get("non_strict_holds", False)
+    return _status(r.precondition_met, r.holds, r.lhs, r.rhs, non_strict)
+
+
+def _statuses(r: _Columns) -> list[str]:
+    """The status of each of the record's reports, by ``_status``."""
+    non_strict = (r.extra or {}).get("non_strict_holds") or repeat(False)
+    return list(map(_status, r.precondition_met, r.holds, r.lhs, r.rhs, non_strict))
 
 
 # The summary count each status adds to, besides "checked".
 _COUNTED_AS = {"vacuous": "vacuous", "held": "held", "equality": "held", "FAILED": "failed"}
 
 
-def counted(reports: Iterable[BoundReport]) -> tuple[Iterator[BoundReport], dict[str, int]]:
-    """``reports`` again, and the summary counts, complete once they are all read."""
+def _column_counts(statuses: Iterable[Iterable[str]]) -> dict[str, int]:
+    """The summary counts of columns of statuses."""
     summary = {"checked": 0, "held": 0, "vacuous": 0, "failed": 0}
-
-    def read() -> Iterator[BoundReport]:
-        for r in reports:
-            summary["checked"] += 1
-            summary[_COUNTED_AS[report_status(r)]] += 1
-            yield r
-
-    return read(), summary
-
-
-def _column_counts(records: Iterable[_Columns]) -> dict[str, int]:
-    """The summary counts of the records' reports, by ``report_status``'s rule."""
-    summary = {"checked": 0, "held": 0, "vacuous": 0, "failed": 0}
-    for r in records:
-        met = r.precondition_met
-        unheld = [
-            i for i, (hypothesis, held) in enumerate(zip(met, r.holds)) if hypothesis and not held
-        ]
-        non_strict = r.extra.get("non_strict_holds") if r.extra else None
-        equal = sum(1 for i in unheld if non_strict and non_strict[i] and r.lhs[i] == r.rhs[i])
-        vacuous = met.count(False)
-        summary["checked"] += len(met)
-        summary["held"] += len(met) - vacuous - len(unheld) + equal
-        summary["vacuous"] += vacuous
-        summary["failed"] += len(unheld) - equal
+    for status, count in Counter(chain.from_iterable(statuses)).items():
+        summary["checked"] += count
+        summary[_COUNTED_AS[status]] += count
     return summary
 
 
 def summarize(reports: list[BoundReport]) -> dict[str, int]:
     """Aggregate counts: vacuous reports aside, equality cases count as held."""
-    read, summary = counted(reports)
-    for _ in read:
-        pass
-    return summary
+    return _column_counts([map(report_status, reports)])

@@ -17,22 +17,14 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache, partial
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import sieve
-from .bounds import (
-    BoundReport,
-    _check_columns,
-    _Columns,
-    _column_counts,
-    counted,
-    iter_checks,
-    report_status,
-)
+from .bounds import _check_columns, _Columns, _column_counts, _statuses
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps them by
 # their names in this module.
 from .bounds import run_all_checks, summarize  # noqa: F401
@@ -67,7 +59,7 @@ from .verifier import (
 DEFAULT_TRIANGLE_CAP = 10_000
 
 # Scalar values held before each write, or check's reports written at once:
-# the rendered JSON is never held whole.
+# the rendered report is never held whole.
 JSON_BATCH_CHUNKS = 4096
 
 
@@ -110,9 +102,8 @@ def _put_json(value, depth: int, out: list[str], held: int = 0) -> int:
     A list or tuple of scalars goes to the C encoder, ``JSON_BATCH_CHUNKS``
     items a call.  Any other container is walked here, its scalars spelled
     through ``_SCALARS``: at the size of a report's dict that is quicker than
-    the encoder's set-up per call.  A ``BoundReport`` is written as its JSON
-    dict and any other iterator as a list, each only as it is reached.  Dict
-    keys must be strings.
+    the encoder's set-up per call.  Any other iterator is written as a list,
+    only as it is reached.  Dict keys must be strings.
 
     ``held`` counts the items in ``out``, and the count after ``value`` is
     returned; ``out`` is written out by ``_written`` as items are added.
@@ -121,8 +112,6 @@ def _put_json(value, depth: int, out: list[str], held: int = 0) -> int:
     if scalar is not None:
         out.append(scalar(value))
         return held + 1
-    if isinstance(value, BoundReport):
-        value = value.to_json_dict()
     inner = "\n" + "  " * (depth + 1)
     keyed = isinstance(value, dict)
     if not keyed:
@@ -167,89 +156,14 @@ def _emit_json(payload) -> None:
     sys.stdout.write("".join(out))
 
 
-@cache
-def _report_template(shape: tuple) -> tuple[str, list[int]]:
-    """A report's JSON text, as ``_put_json`` writes it at depth 2, as a ``%`` template.
+def _slices(r: _Columns) -> Iterator[tuple[slice, tuple]]:
+    """``r``'s rows in slices of at most ``JSON_BATCH_CHUNKS`` rows of one shape.
 
-    ``shape`` is whether the report has a middle, its number of witnesses,
-    and its extra's (key, kind) pairs or None, where a kind is the value's
-    type or, for a list, the tuple of its items' types.  A stub report
-    holding a distinct marker int in every scalar is written by ``_put_json``,
-    and each marker becomes a slot: ``%d`` for an int, ``%s`` for any other
-    value spelled beforehand.  The slots come in the order of the columns of
-    ``_report_columns``; the returned list gives, for each slot of the text,
-    the column it reads.
-    """
-    middle, witnesses, extra = shape
-    # Markers all have one number of digits, more than any key's JSON text
-    # holds, so no marker is inside a key or another marker.
-    width = max((len(encode_basestring_ascii(key)) for key, _ in extra or ()), default=0)
-    base = 10 ** (width + 9)
-    slots: list[str] = []
-
-    def marker(kind) -> int:
-        slots.append("%d" if kind is int else "%s")
-        return base + len(slots)
-
-    report = BoundReport(
-        name=marker(str),
-        lhs=marker(int),
-        rhs=marker(int),
-        holds=marker(bool),
-        precondition_met=marker(bool),
-        middle=marker(int) if middle else None,
-        witnesses=tuple((marker(int), marker(int)) for _ in range(witnesses)),
-        extra=None
-        if extra is None
-        else {
-            key: list(map(marker, kind)) if isinstance(kind, tuple) else marker(kind)
-            for key, kind in extra
-        },
-    )
-    out: list[str] = []
-    # _put_json writes a batch to stdout once it holds JSON_BATCH_CHUNKS items.
-    with contextlib.redirect_stdout(io.StringIO()) as written:
-        _put_json(report, 2, out)
-    text = (written.getvalue() + "".join(out)).replace("%", "%%")
-    markers = [str(base + 1 + column) for column in range(len(slots))]
-    order = sorted(range(len(slots)), key=lambda column: text.index(markers[column]))
-    for column in order:
-        text = text.replace(markers[column], slots[column])
-    return text, order
-
-
-def _report_columns(r: _Columns, rows: slice, witnesses: int, extra) -> list[Iterable]:
-    """The template columns of ``rows`` of ``r``, whose reports hold ``witnesses`` each."""
-    name = encode_basestring_ascii(r.name)
-    spell = _SCALARS[bool]
-    columns = [
-        [name] if r.indices is None else map(name.__mod__, r.indices[rows]),
-        r.lhs[rows],
-        r.rhs[rows],
-        map(spell, r.holds[rows]),
-        map(spell, r.precondition_met[rows]),
-    ]
-    if r.middle is not None:
-        columns.append(r.middle[rows])
-    if witnesses:
-        # Each row's pairs flattened: (index, value) of witness 1, of witness 2...
-        flat = list(chain.from_iterable(chain.from_iterable(r.witnesses[rows])))
-        columns += [flat[at :: 2 * witnesses] for at in range(2 * witnesses)]
-    for key, kind in extra or ():
-        column = r.extra[key]
-        if not isinstance(kind, tuple):
-            column, kind = (column,), (kind,)
-        for items, item_kind in zip(column, kind):
-            items = items[rows]
-            columns.append(items if item_kind is int else map(_SCALARS[item_kind], items))
-    return columns
-
-
-def _report_slices(r: _Columns) -> Iterator[list[str]]:
-    """The JSON texts of ``r``'s reports at depth 2, in lists of at most ``JSON_BATCH_CHUNKS``.
-
-    Rows of one witness count share a template; a record's other fields
-    have one shape for all its rows.
+    A shape is the record's name, whether the name takes an index and
+    whether the record has a middle, the rows' number of witnesses, and their
+    extra's (key, kind) pairs or None, where a kind is the value's type or,
+    for a list, the tuple of its items' types.  Rows of one witness count
+    share a shape; a record's other fields have one shape for all its rows.
     """
     counts = repeat(0, len(r.lhs)) if r.witnesses is None else map(len, r.witnesses)
     start = 0
@@ -263,30 +177,155 @@ def _report_slices(r: _Columns) -> Iterator[list[str]]:
                 else (key, type(column[start]))
                 for key, column in r.extra.items()
             )
-        text, order = _report_template((r.middle is not None, witnesses, extra))
+        shape = (r.name, r.indices is not None, r.middle is not None, witnesses, extra)
         for first in range(start, stop, JSON_BATCH_CHUNKS):
-            rows = slice(first, min(first + JSON_BATCH_CHUNKS, stop))
-            columns = _report_columns(r, rows, witnesses, extra)
-            yield list(map(text.__mod__, zip(*[columns[column] for column in order])))
+            yield slice(first, min(first + JSON_BATCH_CHUNKS, stop)), shape
         start = stop
 
 
-def _emit_check_json(records: list[_Columns], summary: dict[str, int]) -> None:
-    """Write ``check``'s JSON from the records' columns, ``JSON_BATCH_CHUNKS`` reports a write.
+def _stub(shape: tuple) -> tuple[dict, Callable[[str], str]]:
+    """A stub report dict of ``shape`` (see ``_slices``), and what makes its texts templates.
 
-    The bytes are those of ``_emit_json`` on ``{"reports": [...], "summary":
-    summary}`` with each report's JSON dict; no report is made.
+    The stub's name index and its every other scalar is a distinct marker
+    int; its keys are those of ``BoundReport.to_json_dict``.  The function
+    turns a text written from the stub into a ``%`` template: each marker
+    becomes ``%d`` for an int or ``%s`` for a value spelled beforehand, and
+    any other ``%`` is escaped.  Its slots come in the order of the text.
     """
-    write = sys.stdout.write
+    name, indexed, middle, witnesses, extra = shape
+    # Markers all have one number of digits, more than the JSON text of the
+    # name or of any key, so no marker is inside a key or another marker.
+    texts = [name, *(key for key, _ in extra or ())]
+    base = 10 ** (max(map(len, map(encode_basestring_ascii, texts))) + 9)
+    slots: list[str] = []
+
+    def marker(kind) -> int:
+        slots.append("%d" if kind is int else "%s")
+        return base + len(slots)
+
+    report = {"name": name % marker(int) if indexed else name, "lhs": marker(int)}
+    report["rhs"] = marker(int)
+    if middle:
+        report["middle"] = marker(int)
+    report["holds"] = marker(bool)
+    report["precondition_met"] = marker(bool)
+    report["witnesses"] = [[marker(int), marker(int)] for _ in range(witnesses)]
+    if extra:
+        report["extra"] = {
+            key: list(map(marker, kind)) if isinstance(kind, tuple) else marker(kind)
+            for key, kind in extra
+        }
+
+    def template(text: str) -> str:
+        text = text.replace("%", "%%")
+        for column, slot in enumerate(slots, start=base + 1):
+            text = text.replace(str(column), slot)
+        return text
+
+    return report, template
+
+
+@cache
+def _report_template(shape: tuple) -> str:
+    """A report's JSON text, as ``_put_json`` writes it at depth 2, as a ``%`` template."""
+    report, template = _stub(shape)
+    out: list[str] = []
+    # _put_json writes a batch to stdout once it holds JSON_BATCH_CHUNKS items.
+    with contextlib.redirect_stdout(io.StringIO()) as written:
+        _put_json(report, 2, out)
+    return template(written.getvalue() + "".join(out))
+
+
+@cache
+def _row_template(shape: tuple) -> str:
+    """A report's CSV row, as ``csv.writer`` writes it, as a ``%`` template.
+
+    The stub's quoting holds for every row: no value filled in holds a comma,
+    a quote or a line break, except a string in the extra, whose cell its
+    quoted keys always quote, and whose quotes come doubled (``_CSV_SCALARS``).
+    """
+    r, template = _stub(shape)
+    extra = json.dumps(r["extra"], separators=(",", ":")) if "extra" in r else ""
+    witnesses = ";".join(f"{i}:{v}" for i, v in r["witnesses"])
+    row = [r["name"], r["lhs"], r.get("middle", ""), r["rhs"], r["holds"], r["precondition_met"]]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([*row, witnesses, extra])
+    return template(out.getvalue())
+
+
+@cache
+def _line_template(shape: tuple) -> str:
+    """A report's text line, its status first, as a ``%`` template."""
+    r, template = _stub(shape)
+    middle = f" middle={r['middle']}" if "middle" in r else ""
+    return "%-8s " + template(f"{r['name']}: lhs={r['lhs']}{middle} rhs={r['rhs']}\n")
+
+
+# The spelling of each scalar type in a CSV extra cell.
+_CSV_SCALARS = {**_SCALARS, str: lambda value: encode_basestring_ascii(value).replace('"', '""')}
+
+
+def _lead(r: _Columns, rows: slice) -> list[Iterable[int]]:
+    """The index column of ``rows``, where the name takes one, and the lhs column."""
+    return [r.lhs[rows]] if r.indices is None else [r.indices[rows], r.lhs[rows]]
+
+
+def _middle(r: _Columns, rows: slice) -> list[list[int]]:
+    """The middle column of ``rows``, where the record has one."""
+    return [] if r.middle is None else [r.middle[rows]]
+
+
+def _outcome(r: _Columns, rows: slice, shape: tuple, spelling: dict) -> list[Iterable]:
+    """The holds, precondition_met, witness-item and extra-scalar columns of ``rows``.
+
+    Booleans and any extra value but an int are spelled by ``spelling``."""
+    _, _, _, witnesses, extra = shape
+    spell = spelling[bool]
+    columns = [map(spell, r.holds[rows]), map(spell, r.precondition_met[rows])]
+    if witnesses:
+        flat = list(chain.from_iterable(chain.from_iterable(r.witnesses[rows])))
+        columns += [flat[at :: 2 * witnesses] for at in range(2 * witnesses)]
+    for key, kind in extra or ():
+        column = r.extra[key]
+        if not isinstance(kind, tuple):
+            column, kind = (column,), (kind,)
+        for items, item_kind in zip(column, kind):
+            items = items[rows]
+            columns.append(items if item_kind is int else map(spelling[item_kind], items))
+    return columns
+
+
+def _check_json(records: list[_Columns], summary: dict[str, int]) -> Iterator[str]:
+    """check's JSON, a text per slice of ``_slices``: the bytes of ``_emit_json``
+    on ``{"reports": [...], "summary": summary}`` with each report's JSON dict."""
     separator = '{\n  "reports": [\n    '
-    for texts in chain.from_iterable(map(_report_slices, records)):
-        write(separator + ",\n    ".join(texts))
-        separator = ",\n    "
+    for r in records:
+        for rows, shape in _slices(r):
+            outcome = _outcome(r, rows, shape, _SCALARS)
+            columns = [*_lead(r, rows), r.rhs[rows], *_middle(r, rows), *outcome]
+            yield separator + ",\n    ".join(map(_report_template(shape).__mod__, zip(*columns)))
+            separator = ",\n    "
     # The list is never empty: every circuit gets the two whole-circuit checks.
-    out = ['\n  ],\n  "summary": ']
-    _put_json(summary, 1, out)
-    out.append("\n}\n")
-    write("".join(out))
+    yield '\n  ],\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n"
+
+
+def _check_rows(records: list[_Columns]) -> Iterator[str]:
+    """check's CSV, the header and then a text per slice of ``_slices``."""
+    yield "name,lhs,middle,rhs,holds,precondition_met,witnesses,extra\n"
+    for r in records:
+        for rows, shape in _slices(r):
+            outcome = _outcome(r, rows, shape, _CSV_SCALARS)
+            columns = [*_lead(r, rows), *_middle(r, rows), r.rhs[rows], *outcome]
+            yield "".join(map(_row_template(shape).__mod__, zip(*columns)))
+
+
+def _check_lines(records: list[_Columns], statuses: list[list[str]], summary) -> Iterator[str]:
+    """check's text, a text per slice of ``_slices`` and then the summary line."""
+    for r, status in zip(records, statuses):
+        for rows, shape in _slices(r):
+            columns = [status[rows], *_lead(r, rows), *_middle(r, rows), r.rhs[rows]]
+            yield "".join(map(_line_template(shape).__mod__, zip(*columns)))
+    yield "summary: " + " ".join(f"{key}={count}" for key, count in summary.items()) + "\n"
 
 
 def _emit(format: str, payload, rows: Iterable[list], lines: Iterable[str]) -> None:
@@ -408,44 +447,22 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_csv(reports: Iterable[BoundReport]) -> Iterator[list]:
-    yield ["name", "lhs", "middle", "rhs", "holds", "precondition_met", "witnesses", "extra"]
-    for r in reports:
-        yield [
-            r.name,
-            r.lhs,
-            _spelled(r.middle, ""),
-            r.rhs,
-            _spelled(r.holds, ""),
-            _spelled(r.precondition_met, ""),
-            ";".join(f"{i}:{v}" for i, v in r.witnesses),
-            json.dumps(r.extra, separators=(",", ":")) if r.extra else "",
-        ]
-
-
-def _check_text(reports: Iterable[BoundReport], summary: dict[str, int]) -> Iterator[str]:
-    """A line per report, then the summary, read only once the reports are."""
-    for r in reports:
-        middle = f" middle={r.middle}" if r.middle is not None else ""
-        yield f"{report_status(r):<8} {r.name}: lhs={r.lhs}{middle} rhs={r.rhs}"
-    yield "summary: checked={checked} held={held} vacuous={vacuous} failed={failed}".format(
-        **summary
-    )
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    # Every value is computed here, before a byte is written.  JSON is written
-    # from the checks' columns; csv and text make and count each report only
-    # as it is written, and their summary follows the reports, so its counts
-    # are complete by then.
+    # Every value, status and count is computed here, before a byte is
+    # written; every format is written from the checks' columns, at most
+    # JSON_BATCH_CHUNKS reports a write, and no report is made.
     c = _streamed_circuit(_resolve_originator(args))
-    if args.format == "json":
-        records = _check_columns(c)
-        summary = _column_counts(records)
-        _emit_check_json(records, summary)
+    records = _check_columns(c)
+    if args.format == "text":
+        # Only text reads the status columns again, after they are counted.
+        statuses = list(map(_statuses, records))
+        summary = _column_counts(statuses)
+        texts = _check_lines(records, statuses, summary)
     else:
-        reports, summary = counted(iter_checks(c))
-        _emit(args.format, None, _check_csv(reports), _check_text(reports, summary))
+        summary = _column_counts(map(_statuses, records))
+        texts = _check_json(records, summary) if args.format == "json" else _check_rows(records)
+    for text in texts:
+        sys.stdout.write(text)
     return 0 if summary["failed"] == 0 else 1
 
 

@@ -30,8 +30,8 @@ from gapcircuit import (
     trace,
     traces,
 )
-from gapcircuit import triangle
-from gapcircuit.bounds import counted, is_equality_case, iter_checks
+from gapcircuit import bounds, triangle
+from gapcircuit.bounds import BoundReport, is_equality_case, iter_checks, report_status
 from gapcircuit.triangle import _StreamedCircuit
 from test_triangle import edge_terms_strategy, outcome, terms_strategy
 
@@ -100,6 +100,30 @@ class TestSmallSegmentExistence:
             assert r.precondition_met
             m, value = r.witnesses[0]
             assert int(c.row(k)[m - 1]) == value <= cap
+
+
+class TestStatus:
+    """One status rule for a report and for a record's row."""
+
+    NON_STRICT = {"non_strict_holds": True}
+
+    @pytest.mark.parametrize(
+        "report, status, equality",
+        [
+            (BoundReport("x", 1, 2, True, False), "vacuous", False),
+            (BoundReport("x", 2, 2, False, False, extra=NON_STRICT), "vacuous", True),
+            (BoundReport("x", 1, 2, True, True), "held", False),
+            (BoundReport("x", 2, 2, False, True, extra=NON_STRICT), "equality", True),
+            (BoundReport("x", 1, 2, False, True, extra=NON_STRICT), "FAILED", False),
+            (BoundReport("x", 2, 2, False, True, extra={"non_strict_holds": False}), "FAILED", False),
+            (BoundReport("x", 2, 2, False, True), "FAILED", False),
+        ],
+    )
+    def test_report_and_record_agree(self, report, status, equality):
+        assert report_status(report) == status
+        assert is_equality_case(report) == equality
+        fields = {name: getattr(report, name) for name in BoundReport.__dataclass_fields__}
+        assert bounds._statuses(bounds._one(**fields)) == [status]
 
 
 class TestMonotoneLengthDecrease:
@@ -458,9 +482,9 @@ class TestReportStream:
         monkeypatch.setattr(_StreamedCircuit, "_summary", _refuse)
         monkeypatch.setattr(triangle, "_summarize_rows", _refuse)
         monkeypatch.setattr(triangle, "_rows", _refuse)
-        read, summary = counted(reports)
-        assert list(read) == want
-        assert summary == summarize(want)
+        read = list(reports)
+        assert read == want
+        assert summarize(read) == summarize(want)
 
     def test_overflow_raised_by_the_call(self):
         c = _StreamedCircuit(Originator([0, (1 << 62) - 1, 0, (1 << 62) - 1, 0]))

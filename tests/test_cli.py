@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -404,6 +406,7 @@ json_scalars = st.one_of(
     st.floats(),
     st.text(),
 )
+# Report dicts, as to_json_dict makes them.
 json_reports = st.builds(
     BoundReport,
     name=st.text(),
@@ -415,7 +418,7 @@ json_reports = st.builds(
     witnesses=st.lists(st.tuples(st.integers(), st.integers()), max_size=2).map(tuple),
     extra=st.none()
     | st.dictionaries(st.text(), json_scalars | st.lists(json_scalars), max_size=3),
-)
+).map(BoundReport.to_json_dict)
 
 
 def _json_containers(items: st.SearchStrategy) -> st.SearchStrategy:
@@ -461,7 +464,7 @@ class TestJsonWriter:
     @example(payload={'q"\n\x01é': ['"\\\u2028\x7f', "\U0001f600", ""]})
     @settings(max_examples=150, deadline=None)
     def test_matches_json_dumps(self, batch, payload):
-        want = json.dumps(payload, indent=2, default=BoundReport.to_json_dict) + "\n"
+        want = json.dumps(payload, indent=2) + "\n"
         with mock.patch.object(cli, "JSON_BATCH_CHUNKS", batch), redirect_stdout(io.StringIO()) as out:
             cli._emit_json(payload)
         assert out.getvalue() == want
@@ -494,11 +497,12 @@ check_terms = st.one_of(
     edge_terms_strategy,
 )
 
-# Report shapes: 0-2 witnesses, middle or not, extras of ints, bools and
-# lists of them, and names that hold %, quotes and non-ASCII.
+# Report shapes: 0-2 witnesses, middle or not, extras of ints, bools, strings
+# and lists of them, and names that hold %, quotes, commas and non-ASCII.
 template_reports = st.builds(
     BoundReport,
-    name=st.text() | st.sampled_from(["100%", "%d %s %%(k)s", 'q"\\é\u2028', "trace(s=%d)"]),
+    name=st.text()
+    | st.sampled_from(["100%", "%d %s %%(k)s", 'q"\\é\u2028', "trace(s=%d)", "a,b\r\nc"]),
     lhs=st.integers(),
     rhs=st.integers(),
     holds=st.booleans(),
@@ -509,7 +513,10 @@ template_reports = st.builds(
     | st.just({"internal_inconsistency": True})
     | st.dictionaries(
         st.text() | st.sampled_from(["%", "%d", "1", '"']),
-        st.integers() | st.booleans() | st.lists(st.integers() | st.booleans(), max_size=3),
+        st.integers()
+        | st.booleans()
+        | st.text()
+        | st.lists(st.integers() | st.booleans() | st.text(), max_size=3),
         min_size=1,
         max_size=3,
     ),
@@ -523,66 +530,125 @@ def _refuse_report(*args, **kwargs):
 def _report_text(report) -> str:
     """``_put_json``'s text of one report in check's list of reports."""
     out = []
-    cli._put_json(report, 2, out)
+    cli._put_json(report.to_json_dict(), 2, out)
     return "".join(out)
 
 
+CHECK_FORMATS = ["json", "csv", "text"]
+
+
+def _check_oracle(fmt: str, reports: list[BoundReport]) -> str:
+    """check's output in ``fmt``, made from the reports one at a time."""
+    summary = summarize(reports)
+    if fmt == "json":
+        payload = {"reports": [r.to_json_dict() for r in reports], "summary": summary}
+        return json.dumps(payload, indent=2) + "\n"
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(
+            ["name", "lhs", "middle", "rhs", "holds", "precondition_met", "witnesses", "extra"]
+        )
+        for r in reports:
+            writer.writerow(
+                [
+                    r.name,
+                    r.lhs,
+                    "" if r.middle is None else r.middle,
+                    r.rhs,
+                    json.dumps(r.holds),
+                    json.dumps(r.precondition_met),
+                    ";".join(f"{i}:{v}" for i, v in r.witnesses),
+                    json.dumps(r.extra, separators=(",", ":")) if r.extra else "",
+                ]
+            )
+        return out.getvalue()
+    for r in reports:
+        middle = f" middle={r.middle}" if r.middle is not None else ""
+        status = bounds.report_status(r)
+        print(f"{status:<8} {r.name}: lhs={r.lhs}{middle} rhs={r.rhs}", file=out)
+    line = "summary: checked={checked} held={held} vacuous={vacuous} failed={failed}"
+    print(line.format(**summary), file=out)
+    return out.getvalue()
+
+
 class TestCheckColumns:
-    """check's JSON is written from the checks' columns, a template per report
-    shape, with the bytes of json.dumps over run_all_checks."""
+    """check writes every format from the checks' columns, a template per
+    report shape, with the bytes of its reports written one at a time over
+    run_all_checks."""
 
     @pytest.mark.parametrize("batch", [1, 7, 4096])
     @given(terms=check_terms)
     @example(terms=[0, 1])
     @example(terms=[5, 6, -(2**63), 1])
+    @example(terms=[7, 7, 7, 7, 7])
     @settings(max_examples=60, deadline=None)
     def test_bytes_equal_json_dumps(self, tmp_path_factory, batch, terms):
         path = tmp_path_factory.mktemp("check") / "terms.txt"
         path.write_text("\n".join(map(str, terms)) + "\n")
         reports = outcome(lambda: run_all_checks(build_circuit(Originator(terms))))
-        with mock.patch.object(cli, "JSON_BATCH_CHUNKS", batch), redirect_stdout(
-            io.StringIO()
-        ) as out, redirect_stderr(io.StringIO()) as err:
-            code = main(["check", "--file", str(path)])
+        for fmt in CHECK_FORMATS:
+            with mock.patch.object(cli, "JSON_BATCH_CHUNKS", batch), redirect_stdout(
+                io.StringIO()
+            ) as out, redirect_stderr(io.StringIO()) as err:
+                code = main(["check", "--file", str(path), "--format", fmt])
+            if isinstance(reports, tuple):
+                assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {reports[1]}\n")
+                continue
+            summary = summarize(reports)
+            assert out.getvalue() == _check_oracle(fmt, reports)
+            assert code == (summary["failed"] > 0)
         if isinstance(reports, tuple):
-            assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {reports[1]}\n")
             return
-        summary = summarize(reports)
-        payload = {"reports": [r.to_json_dict() for r in reports], "summary": summary}
-        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
-        assert code == (summary["failed"] > 0)
         records = bounds._check_columns(triangle._StreamedCircuit(Originator(terms)))
-        assert bounds._column_counts(records) == summary
+        statuses = list(map(bounds._statuses, records))
+        assert list(chain.from_iterable(statuses)) == list(map(bounds.report_status, reports))
+        assert bounds._column_counts(statuses) == summary
 
     @given(report=template_reports)
     @example(report=BoundReport("x", 1, 2, True, False, extra={"a": [], "b": [True, 3]}))
+    @example(report=BoundReport("%d", 1, 1, False, True, extra={"non_strict_holds": True}))
+    @example(report=BoundReport("a,b", 1, 2, False, True, witnesses=((1, 2),), extra={"a": []}))
     @settings(max_examples=200, deadline=None)
     def test_template_render_equals_put_json(self, report):
         fields = {name: getattr(report, name) for name in BoundReport.__dataclass_fields__}
         record = bounds._one(**fields)
-        assert list(cli._report_slices(record)) == [[_report_text(report)]]
         assert bounds._report(record) == report
+        status = bounds._statuses(record)
+        summary = bounds._column_counts([status])
+        written = {
+            "json": "".join(cli._check_json([record], summary)),
+            "csv": "".join(cli._check_rows([record])),
+            "text": "".join(cli._check_lines([record], [status], summary)),
+        }
+        assert _report_text(report) in written["json"]
+        for fmt in CHECK_FORMATS:
+            assert written[fmt] == _check_oracle(fmt, [report])
 
-    def test_no_report_made(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("fmt", CHECK_FORMATS)
+    def test_no_report_made(self, capsys, monkeypatch, fmt):
         # The first run also fills the template cache for every shape it meets.
-        want = run_cli(capsys, "check", "--primes", "200", "--format", "json")
+        want = run_cli(capsys, "check", "--primes", "200", "--format", fmt)
         monkeypatch.setattr(BoundReport, "__init__", _refuse_report)
         monkeypatch.setattr(BoundReport, "to_json_dict", _refuse_report)
         monkeypatch.setattr(bounds, "report_status", _refuse_report)
         monkeypatch.setattr(bounds, "is_equality_case", _refuse_report)
-        assert run_cli(capsys, "check", "--primes", "200", "--format", "json") == want
+        assert run_cli(capsys, "check", "--primes", "200", "--format", fmt) == want
 
-    def test_written_in_slices(self, monkeypatch):
+    @pytest.mark.parametrize("fmt", CHECK_FORMATS)
+    def test_written_in_slices(self, monkeypatch, fmt):
         # no write holds more than JSON_BATCH_CHUNKS reports
         want = run_all_checks(build_circuit(Originator(oracle.first_primes(30))))
         writes = []
         monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", 4)
         monkeypatch.setattr(cli.sys, "stdout", mock.Mock(write=writes.append))
-        assert main(["check", "--primes", "30"]) == 0
+        assert main(["check", "--primes", "30", "--format", fmt]) == 0
         assert len(writes) > len(want) // 4
-        assert max(text.count('"name": ') for text in writes) <= 4
-        payload = {"reports": [r.to_json_dict() for r in want], "summary": summarize(want)}
-        assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
+        if fmt == "json":
+            assert max(text.count('"name": ') for text in writes) <= 4
+        else:
+            assert max(len(text.splitlines()) for text in writes) <= 4
+        assert "".join(writes) == _check_oracle(fmt, want)
 
 
 class TestCheckCommand:
