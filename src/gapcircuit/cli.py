@@ -5,7 +5,9 @@ one report to stdout in json, csv, or text form, and exits 0 on success,
 1 when the checked property fails, 2 on usage or parameter errors, and 141
 (128 + SIGPIPE) when the reader of stdout goes away.
 Output is deterministic for fixed flags: no timestamps, no wall-clock
-entropy; timing figures appear only under --timing.
+entropy; timing figures appear only under --timing.  The entry point is
+``gapcircuit.__main__``, which sets NumPy's BLAS thread default before
+importing this module.
 """
 
 from __future__ import annotations
@@ -688,7 +690,3 @@ def main(argv: list[str] | None = None) -> int:
         # exit cannot raise again, and exit as a process killed by SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-
-
-if __name__ == "__main__":
-    sys.exit(main())

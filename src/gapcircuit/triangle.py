@@ -11,9 +11,10 @@ column s.
 Statistics and the checks of ``bounds`` read one cached summary of the rows,
 filled in one pass over rows derived afresh from the originator in two reused
 buffers, for a held circuit too, so it needs O(n) memory and no circuit.  Its
-sums add 31-bit limbs: exact for any int64 input, they raise only when read
-outside int64.  Statistics ask for the totals alone; only the checks pay for
-each row's minimum and edge entries and each column's minimum.
+sums are exact for any int64 input and raise only when read outside int64:
+they add rows straight into int64 when row 1's maximum times n - 1 fits,
+and 31-bit limbs otherwise.  Statistics ask for the totals alone; only the
+checks pay for each row's extremes and edge entries and each column's minimum.
 """
 
 from __future__ import annotations
@@ -179,16 +180,17 @@ class _Summary(NamedTuple):
     """Exact, unchecked totals of the rows, and what the checks read of them.
 
     Row fields hold entry k-1 for row k, column fields entry s-1 for segment
-    s.  The totals are always filled; the check fields, from ``row_minima``
-    on, are None unless asked for.  ``second_lasts`` stops at row n-2, the
-    last row with two segments; ``narrowing[k-1]`` tells whether
-    row k+1 <= row k[1:] entrywise, for k = 1..n-2.  ``column_argmins`` holds
-    the first row that reaches each column's minimum.
+    s.  The totals, the row sums and the traces, are always filled; the check
+    fields, from ``row_maxima`` on, are None unless asked for.
+    ``second_lasts`` stops at row n-2, the last row with two segments;
+    ``narrowing[k-1]`` tells whether row k+1 <= row k[1:] entrywise, for
+    k = 1..n-2.  ``column_argmins`` holds the first row that reaches each
+    column's minimum.
     """
 
     row_sums: list[int]
-    row_maxima: list[int]
     traces: list[int]
+    row_maxima: list[int] | None = None
     row_minima: list[int] | None = None
     firsts: list[int] | None = None
     second_lasts: list[int] | None = None
@@ -206,18 +208,28 @@ def _summarize_rows(rows: Iterable[np.ndarray], n: int, checks: bool) -> _Summar
     # Row 0 of each pair holds the high limbs, row 1 the low limbs.
     limbs = np.empty((2, n - 1), dtype=np.int64)
     columns = np.zeros((2, n - 1), dtype=np.int64)
-    row_sums, row_maxima = [], []
+    row_sums = []
     if checks:
-        per_row = row_minima, firsts, second_lasts, lasts, narrowing = [], [], [], [], []
+        per_row = row_maxima, row_minima, firsts, second_lasts, lasts, narrowing = (
+            [], [], [], [], [], []
+        )
         column_minima = np.full(n - 1, I64_MAX, dtype=np.int64)
         column_argmins = np.ones(n - 1, dtype=np.int64)
         mask = np.empty(n - 1, dtype=bool)
+    exact = False
     for k, row in enumerate(rows, start=1):
         m = row.size
-        top = int(row.max())
-        row_maxima.append(top)
-        if top <= _LOW_MASK:
-            # The row is its own low limb and its high limb is all 0s.
+        if checks or not exact:
+            top = int(row.max())
+        if k == 1:
+            # No entry exceeds row 1's maximum, and no total holds more than
+            # n - 1 entries: within that bound no int64 sum wraps.
+            exact = top * (n - 1) <= I64_MAX
+        if checks:
+            row_maxima.append(top)
+        if exact or top <= _LOW_MASK:
+            # The row is its own low limb and its high limb is all 0s, or its
+            # sums are proved to fit.
             row_sums.append(int(row.sum()))
             columns[1, :m] += row
         else:
@@ -244,10 +256,8 @@ def _summarize_rows(rows: Iterable[np.ndarray], n: int, checks: bool) -> _Summar
         previous = row
     traces = [(high << _LIMB_BITS) + low for high, low in zip(*columns.tolist())]
     if not checks:
-        return _Summary(row_sums, row_maxima, traces)
-    return _Summary(
-        row_sums, row_maxima, traces, *per_row, column_minima.tolist(), column_argmins.tolist()
-    )
+        return _Summary(row_sums, traces)
+    return _Summary(row_sums, traces, *per_row, column_minima.tolist(), column_argmins.tolist())
 
 
 class _StreamedCircuit:
@@ -274,7 +284,7 @@ class _StreamedCircuit:
     def _summary(self, checks: bool = True) -> _Summary:
         """The cached summary; ``checks`` asks for its check fields too."""
         summary = self._cached_summary
-        if summary is None or (checks and summary.row_minima is None):
+        if summary is None or (checks and summary.row_maxima is None):
             summary = _summarize_rows(_rows(self.originator), self.n, checks)
             self._cached_summary = summary
         return summary

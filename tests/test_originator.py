@@ -269,6 +269,13 @@ class TestRandomStream:
         for seed in range(600):
             assert_model_matches_reference(2 + seed % 3, 2 * (2**64 // 5 + 1), seed)
 
+    @pytest.mark.parametrize("g_max", [2, 4, 6, 100, 2**40, 2**62, 2**63 - 2])
+    @pytest.mark.parametrize("n", [2, 3, 300])
+    def test_gap_ceilings_match_scalar_reference(self, g_max, n):
+        # Walks of 300 terms overflow for the widest ceilings, and raise.
+        for seed in (0, 1, 7, 2**63, 2**64 - 1):
+            assert_model_matches_reference(n, g_max, seed)
+
     def test_long_model_crosses_draw_blocks(self):
         assert_model_matches_reference(3 * (1 << 16) + 5, 100, 5)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -22,7 +22,13 @@ from gapcircuit import (
     traces,
     trivial_path,
 )
-from gapcircuit.triangle import CIRCUIT_CELL_LIMIT, _rows, _StreamedCircuit, _Summary
+from gapcircuit.triangle import (
+    CIRCUIT_CELL_LIMIT,
+    _rows,
+    _StreamedCircuit,
+    _Summary,
+    _summarize_rows,
+)
 
 PRIMES5 = Originator([2, 3, 5, 7, 11])
 
@@ -414,7 +420,7 @@ class TestStreamedTally:
         totals = streamed(terms)._summary(checks=False)
         assert totals == build_circuit(Originator(terms))._summary(checks=False)
         assert (totals.row_sums, totals.traces) == oracle.row_sums_and_traces(terms)
-        assert totals.row_maxima == oracle.row_maxima(terms)
+        assert streamed(terms)._summary().row_maxima == oracle.row_maxima(terms)
 
     @given(terms_strategy)
     @settings(max_examples=80)
@@ -499,13 +505,43 @@ class TestStreamedTally:
         assert len(bases) == 2
 
 
+def terms_at_bound(total):
+    """n terms in [0, M1] whose row 1 reaches M1, for each n with M1 (n - 1) = total."""
+    widths = [w for w in range(1, 80) if total % w == 0 and total // w <= I64_MAX]
+
+    def terms(w):
+        top = total // w
+        value = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+        rest = st.lists(value, min_size=w - 1, max_size=w - 1)
+        # The pair 0, M1 makes M1 row 1's maximum.
+        at = st.integers(0, w - 1)
+        return st.builds(lambda rest, at: rest[:at] + [0, top] + rest[at:], rest, at)
+
+    return st.sampled_from(widths).flatmap(terms)
+
+
+class TestExactBound:
+    """Rows go straight into int64 when M1 (n - 1) <= I64_MAX, else into limbs; both are exact."""
+
+    @given(st.one_of(terms_at_bound(I64_MAX), terms_at_bound(I64_MAX + 1)), st.booleans())
+    @example([0, (I64_MAX + 1) // 8] * 4 + [0], False)
+    @example([0, (I64_MAX + 1) // 8] * 4 + [0], True)
+    @example([0, I64_MAX // 7] * 4, False)
+    @example([0, I64_MAX], True)
+    @settings(max_examples=200)
+    def test_matches_oracle(self, terms, checks):
+        summary = _summarize_rows(_rows(Originator(terms)), len(terms), checks)
+        assert (summary.row_sums, summary.traces) == oracle.row_sums_and_traces(terms)
+        assert summary.row_maxima == (oracle.row_maxima(terms) if checks else None)
+
+
 class TestSummary:
     """The summary of streamed rows equals the circuit's and the oracle's."""
 
     def assert_summaries_agree(self, terms):
         s = streamed(terms)._summary()
         assert s == build_circuit(Originator(terms))._summary()
-        assert streamed(terms)._summary(checks=False) == _Summary(s.row_sums, s.row_maxima, s.traces)
+        assert streamed(terms)._summary(checks=False) == _Summary(s.row_sums, s.traces)
         edges = oracle.row_edges(terms)
         assert s.row_minima == [e[0] for e in edges]
         assert s.firsts == [e[1] for e in edges]
