@@ -13,7 +13,6 @@ importing this module.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -229,13 +228,9 @@ def _stub(shape: tuple) -> tuple[dict, Callable[[str], str]]:
 
 @cache
 def _report_template(shape: tuple) -> str:
-    """A report's JSON text, as ``_put_json`` writes it at depth 2, as a ``%`` template."""
+    """A report's JSON text at depth 2 of ``json.dumps(indent=2)``, as a ``%`` template."""
     report, template = _stub(shape)
-    out: list[str] = []
-    # _put_json writes a batch to stdout once it holds JSON_BATCH_CHUNKS items.
-    with contextlib.redirect_stdout(io.StringIO()) as written:
-        _put_json(report, 2, out)
-    return template(written.getvalue() + "".join(out))
+    return template(json.dumps(report, indent=2).replace("\n", "\n    "))
 
 
 @cache

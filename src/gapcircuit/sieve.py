@@ -1,18 +1,18 @@
 """Odd-only segmented sieve of Eratosthenes.
 
-Base primes up to sqrt(limit) are found with a plain sieve; the rest of the
-range is processed in fixed-size windows so the working set stays
-cache-resident regardless of the limit.  Windows hold odd integers only:
-even numbers above 2 are never stored or crossed out, so each flag byte
-covers two integers and the Python loop over the base primes, which runs
-once per window, runs half as often for a window of the same byte size.
+One window loop is the only sieve: it crosses the base primes up to
+sqrt(limit) out of fixed-size windows, so the working set stays
+cache-resident regardless of the limit, and it finds the base primes by
+running itself to sqrt(limit).  Windows hold odd integers only: even
+numbers above 2 are never stored or crossed out, so each flag byte covers
+two integers and the Python loop over the base primes, which runs once per
+window, runs half as often for a window of the same byte size.
 
-One generator holds the window loop.  ``prime_windows`` and
-``first_n_prime_windows`` hand out its primes one window at a time, so a
-caller that reads them in turn, such as the streamed verifier, never holds
-more than one window; the n-prime version stops at the n-th prime.
-``primes_up_to_array`` and ``first_n_primes_array`` copy the windows into
-one array as they are sieved, so the array is the only large allocation.
+``prime_windows`` and ``first_n_prime_windows`` hand out the primes one
+window at a time, so a streamed reader holds one window and the base
+primes; the n-prime version stops at the n-th prime.  ``_joined`` copies
+windows into one array as they are sieved, for ``primes_up_to_array``,
+``first_n_primes_array`` and the base primes, and is the one budget check.
 """
 
 from __future__ import annotations
@@ -74,18 +74,6 @@ def nth_prime_upper_bound(n: int) -> int:
     return int(x * (math.log(x) + math.log(math.log(x)))) + 1
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit by a dense boolean sieve (int64 array)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def _odd_window(lo: int, count: int, odd_base: np.ndarray, steps: list[int]) -> np.ndarray:
     """The primes among the ``count`` odd integers from ``lo`` on.
 
@@ -104,10 +92,19 @@ def _odd_window(lo: int, count: int, odd_base: np.ndarray, steps: list[int]) -> 
     return primes
 
 
-def _windows(limit: int, window: int) -> Iterator[np.ndarray]:
-    """The primes <= limit, increasing, one int64 array per window."""
+def _windows(limit: int) -> Iterator[np.ndarray]:
+    """The primes <= limit, increasing, one int64 array per window.
+
+    The first array holds the base primes up to sqrt(limit), joined from
+    this same loop run to sqrt(limit); each later one the primes of one
+    window of ``SEGMENT_SIZE`` odd integers.
+    """
+    window = SEGMENT_SIZE
     root = max(math.isqrt(limit), 2)
-    base = _simple_sieve(root)
+    if root < 4:
+        base = np.array((2, 3)[: root - 1], dtype=np.int64)
+    else:
+        base = _joined(_windows(root), prime_count_upper_bound(root))
     yield base
     odd_base = base[1:]
     steps = odd_base.tolist()
@@ -121,40 +118,26 @@ def prime_windows(limit: int) -> Iterator[np.ndarray]:
 
     The first array holds the primes up to sqrt(limit), each later one the
     primes of one window of ``SEGMENT_SIZE`` odd integers; some may be
-    empty.  Arguments are checked at the call: ``RangeError`` for limit < 2
-    and ``SieveBudgetError`` when all the primes at once would exceed the
-    budget, as for ``primes_up_to_array``.  Windows are sieved only as they
-    are read.
+    empty.  ``RangeError`` for limit < 2 is raised at the call.  Windows
+    are sieved only as they are read, and the only array held with them is
+    the base primes, so the budget limits only those: the first read raises
+    ``SieveBudgetError`` when they would exceed it.
     """
     if limit < 2:
         raise RangeError(f"prime limit must be at least 2, got {limit}")
-    budget = sieve_budget_bytes()
-    estimated_bytes = 8 * prime_count_upper_bound(limit)
-    if estimated_bytes > budget:
-        raise SieveBudgetError(
-            f"sieving to {limit} may emit ~{estimated_bytes} bytes of primes, "
-            f"over the budget of {budget} bytes "
-            f"(raise {BUDGET_ENV_VAR} to allow this)"
-        )
-    return _windows(limit, SEGMENT_SIZE)
+    return _windows(limit)
 
 
 def first_n_prime_windows(n: int) -> Iterator[np.ndarray]:
     """The first n primes, increasing, as consecutive int64 arrays.
 
     Sieving stops with the window that holds the n-th prime, and the last
-    array ends at it.  Arguments are checked at the call, as for
-    ``first_n_primes_array``.
+    array ends at it.  ``RangeError`` for n < 1 is raised at the call; the
+    budget applies to the base primes, as for ``prime_windows``.
     """
     if n < 1:
         raise RangeError(f"prime count must be at least 1, got {n}")
-    budget = sieve_budget_bytes()
-    if 8 * n > budget:
-        raise SieveBudgetError(
-            f"{n} primes need {8 * n} bytes, over the budget of {budget} bytes "
-            f"(raise {BUDGET_ENV_VAR} to allow this)"
-        )
-    return _take(n, prime_windows(nth_prime_upper_bound(n)))
+    return _take(n, _windows(nth_prime_upper_bound(n)))
 
 
 def _take(n: int, windows: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
@@ -173,8 +156,16 @@ def _joined(windows: Iterator[np.ndarray], capacity: int) -> np.ndarray:
     """The windows' primes copied into one read-only int64 array.
 
     ``capacity`` must bound their count; the array is cut to the count in
-    place, so it never exists twice.
+    place, so it never exists twice.  Every held prime array is made here,
+    so this is the one budget check: ``SieveBudgetError`` when the
+    ``8 * capacity`` bytes would exceed it, before any window is read.
     """
+    budget = sieve_budget_bytes()
+    if 8 * capacity > budget:
+        raise SieveBudgetError(
+            f"{capacity} primes need {8 * capacity} bytes, over the budget of {budget} "
+            f"bytes (raise {BUDGET_ENV_VAR} to allow this)"
+        )
     primes = np.empty(capacity, dtype=np.int64)
     filled = 0
     for window in windows:
@@ -189,8 +180,8 @@ def _joined(windows: Iterator[np.ndarray], capacity: int) -> np.ndarray:
 def primes_up_to_array(limit: int) -> np.ndarray:
     """All primes <= limit, increasing, as a read-only int64 array.
 
-    Raises ``RangeError`` for limit < 2 and ``SieveBudgetError`` when the
-    estimated output would exceed the budget.
+    Raises ``RangeError`` for limit < 2 and ``SieveBudgetError`` when an
+    array sized by ``prime_count_upper_bound(limit)`` would exceed the budget.
     """
     return _joined(prime_windows(limit), prime_count_upper_bound(limit))
 

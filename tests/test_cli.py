@@ -783,19 +783,32 @@ class TestStreamedVerify:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["--primes", "100000"], "100000 primes need 800000 bytes, over the budget of 64 bytes"),
-            (["--primes", "8"], "sieving to 23 may emit ~80 bytes of primes, over the budget of 64 bytes"),
-            (["--limit", "100000"], "sieving to 100000 may emit ~87216 bytes of primes, over the budget of 64 bytes"),
-        ],
-    )
-    def test_sieve_budget_messages(self, capsys, monkeypatch, argv, message):
-        monkeypatch.setenv("GAPCIRCUIT_SIEVE_BUDGET", "64")
-        code, out, err = run_cli(capsys, "verify", *argv)
+    @pytest.mark.parametrize("command", ["stats", "check"])
+    @pytest.mark.parametrize("argv, capacity", [(["--primes", "100000"], 100000), (["--limit", "100000"], 10902)])
+    def test_sieve_budget_messages(self, capsys, monkeypatch, command, argv, capacity):
+        # 4096 bytes admit the base primes of a stream, but not the held array
+        monkeypatch.setenv("GAPCIRCUIT_SIEVE_BUDGET", "4096")
+        code, out, err = run_cli(capsys, command, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: {message} (raise GAPCIRCUIT_SIEVE_BUDGET to allow this)\n"
+        assert err == (
+            f"error: {capacity} primes need {8 * capacity} bytes, over the budget of 4096 "
+            "bytes (raise GAPCIRCUIT_SIEVE_BUDGET to allow this)\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["--primes", "100000"], ["--limit", "100000"]])
+    def test_budget_leaves_streams_alone(self, capsys, monkeypatch, argv):
+        free = run_cli(capsys, "verify", *argv, "--format", "text")
+        monkeypatch.setenv("GAPCIRCUIT_SIEVE_BUDGET", "4096")
+        assert run_cli(capsys, "verify", *argv, "--format", "text") == free
+        assert free[0] == 0
+
+    def test_budget_admits_an_array_of_its_size(self, capsys, monkeypatch):
+        monkeypatch.setenv("GAPCIRCUIT_SIEVE_BUDGET", "64")
+        code, out, _ = run_cli(capsys, "stats", "--primes", "8")
+        assert code == 0 and json.loads(out)["n"] == 8
+        code, out, err = run_cli(capsys, "stats", "--primes", "9")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 9 primes need 72 bytes, over the budget of 64 bytes")
 
     def test_naive_guard(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--primes", "200000", "--method", "naive")
@@ -828,8 +841,11 @@ class TestVerifyOutputsPinned:
     """``verify`` stdout, stderr and exit code, byte for byte, in every format.
 
     The expected outputs in ``verify_cli_outputs.json`` were recorded from
-    the command line at commit 15bcced.  A case's ``file`` text, when given,
-    is written to a file whose path replaces ``{file}`` in its arguments.
+    the command line at commit 15bcced, except the two ``budget-*`` cases,
+    re-recorded when the budget stopped applying to streamed runs: their
+    base primes fit in it, so the scan depth of 0 is refused instead.  A
+    case's ``file`` text, when given, is written to a file whose path
+    replaces ``{file}`` in its arguments.
     """
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

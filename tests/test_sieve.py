@@ -1,4 +1,5 @@
 import bisect
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import sympy
 
 import oracle
-from gapcircuit import GapCircuitError, sieve
+from gapcircuit import RangeError, SieveBudgetError, sieve
 
 SMALL_PRIMES = oracle.primes_below(3000)
 
@@ -84,22 +85,69 @@ class TestWindows:
             assert _joined(sieve.first_n_prime_windows(400)) == SMALL_PRIMES[:400]
 
     def test_arguments_checked_at_the_call(self, monkeypatch):
-        # errors come before any window is read, with the array functions' messages
-        monkeypatch.setenv(sieve.BUDGET_ENV_VAR, "64")
+        # range errors come before any window is read, with the array functions' messages
         cases = [
             (lambda: sieve.prime_windows(1), lambda: sieve.primes_up_to_array(1)),
             (lambda: sieve.first_n_prime_windows(0), lambda: sieve.first_n_primes_array(0)),
-            (lambda: sieve.prime_windows(10**5), lambda: sieve.primes_up_to_array(10**5)),
-            (lambda: sieve.first_n_prime_windows(8), lambda: sieve.first_n_primes_array(8)),
-            (lambda: sieve.first_n_prime_windows(9), lambda: sieve.first_n_primes_array(9)),
         ]
         for windows, array in cases:
-            with pytest.raises(GapCircuitError) as streamed:
+            with pytest.raises(RangeError) as streamed:
                 windows()
-            with pytest.raises(GapCircuitError) as held:
+            with pytest.raises(RangeError) as held:
                 array()
-            assert type(streamed.value) is type(held.value)
             assert str(streamed.value) == str(held.value)
+        # the budget refuses held arrays, by the capacity they would take
+        monkeypatch.setenv(sieve.BUDGET_ENV_VAR, "64")
+        for array, capacity in (
+            (lambda: sieve.primes_up_to_array(10**5), sieve.prime_count_upper_bound(10**5)),
+            (lambda: sieve.first_n_primes_array(9), 9),
+        ):
+            with pytest.raises(SieveBudgetError) as refused:
+                array()
+            assert str(refused.value) == (
+                f"{capacity} primes need {8 * capacity} bytes, over the budget of 64 bytes "
+                f"(raise {sieve.BUDGET_ENV_VAR} to allow this)"
+            )
+
+    def test_budget_admits_an_array_of_its_size(self, monkeypatch):
+        monkeypatch.setenv(sieve.BUDGET_ENV_VAR, "64")
+        assert sieve.first_n_primes_array(8).tolist() == SMALL_PRIMES[:8]
+        with pytest.raises(SieveBudgetError, match="^9 primes need 72 bytes"):
+            sieve.first_n_primes_array(9)
+
+    def test_streams_refused_by_their_base_primes(self, monkeypatch):
+        # the base primes up to 10^4 are joined, and refused, before any window above them
+        sieved = []
+        original = sieve._odd_window
+
+        def recording(lo, count, odd_base, steps):
+            sieved.append(lo)
+            return original(lo, count, odd_base, steps)
+
+        monkeypatch.setattr(sieve, "_odd_window", recording)
+        monkeypatch.setenv(sieve.BUDGET_ENV_VAR, "64")
+        windows = sieve.prime_windows(10**8)
+        with pytest.raises(SieveBudgetError) as streamed:
+            list(windows)
+        assert all(lo <= 10**4 for lo in sieved)
+        with pytest.raises(SieveBudgetError) as held:
+            sieve.primes_up_to_array(10**4)
+        assert str(streamed.value) == str(held.value)
+
+    @pytest.mark.parametrize(
+        "make, root",
+        [
+            (lambda: sieve.prime_windows(10**6), 10**3),
+            (lambda: sieve.first_n_prime_windows(10**5), 1181),
+        ],
+        ids=["limit", "first_n"],
+    )
+    def test_budget_admitting_the_base_primes_changes_nothing(self, monkeypatch, make, root):
+        assert math.isqrt(sieve.nth_prime_upper_bound(10**5)) == 1181
+        free = [w.tolist() for w in make()]
+        monkeypatch.setenv(sieve.BUDGET_ENV_VAR, str(8 * sieve.prime_count_upper_bound(root)))
+        assert [w.tolist() for w in make()] == free
+        assert len(free) > 1 and free[0] == _expected(root)
 
     @pytest.mark.parametrize("window", [1, 3, 16])
     def test_first_n_array_is_exact(self, monkeypatch, window):
