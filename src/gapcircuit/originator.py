@@ -34,6 +34,9 @@ _LOW_MASK = (1 << _LIMB_BITS) - 1
 _DRAW_BLOCK = 1 << 16
 _INT_TOKEN_RE = re.compile(r"[+-]?[0-9]+")
 _TOKEN_RE = re.compile(r"[^\s,]+")
+# A line of decimal integers short enough to fit in int64, split by
+# whitespace and commas: such a line cannot hold a bad token.
+_TERMS_LINE_RE = re.compile(r"[\s,]*(?:[+-]?[0-9]{1,18}(?:[\s,]+[+-]?[0-9]{1,18})*[\s,]*)?")
 
 
 def _coerce_terms(values: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -240,6 +243,10 @@ def load_sequence(source: str | bytes | os.PathLike | IO) -> Originator:
     terms: list[int] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
+        if _TERMS_LINE_RE.fullmatch(line):
+            terms += map(int, _INT_TOKEN_RE.findall(line))
+            continue
+        # Only here can a token be bad; each is read in turn for its column.
         for match in _TOKEN_RE.finditer(line):
             token = match.group()
             column = match.start() + 1

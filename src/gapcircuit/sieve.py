@@ -58,12 +58,18 @@ def sieve_budget_bytes() -> int:
 
 
 def prime_count_upper_bound(limit: int) -> int:
-    """Upper bound on the number of primes <= limit (Rosser-Schoenfeld style)."""
+    """Upper bound on the number of primes <= limit.
+
+    Dusart (1999): pi(x) <= x / ln x * (1 + 1.2762 / ln x) for x > 1; the
+    added 1 covers the rounding of the float.  From 10^5 to 10^10 it is
+    less than 0.8% above pi(x).
+    """
     if limit < 2:
         return 0
     if limit < 17:
         return 6
-    return int(1.25506 * limit / math.log(limit)) + 1
+    log = math.log(limit)
+    return int(limit / log * (1 + 1.2762 / log)) + 1
 
 
 def nth_prime_upper_bound(n: int) -> int:

@@ -9,19 +9,23 @@ the public API are 1-based: segment s of order k is the value at row k,
 column s.
 
 Statistics and the checks of ``bounds`` read one cached summary of the rows,
-filled in one pass over rows derived afresh from the originator in two reused
-buffers, for a held circuit too, so it needs O(n) memory and no circuit.  Its
-sums are exact for any int64 input and raise only when read outside int64:
-they add rows straight into int64 when row 1's maximum times n - 1 fits,
-and 31-bit limbs otherwise.  Statistics ask for the totals alone; only the
-checks pay for each row's extremes and edge entries and each column's minimum.
+filled in one pass over rows derived afresh from the originator, for a held
+circuit too, so it needs O(n) memory and no circuit.  The pass derives the
+rows a block at a time into one reused 512 KiB buffer (two rows to a block,
+or one for the checks, when a row is wider than half of it) and takes every
+field of the summary with one NumPy reduction per block.  Its sums are exact for any int64 input and raise only
+when read outside int64: they add rows straight into int64 when row 1's
+maximum times n - 1 fits, and 31-bit limbs otherwise.  Statistics ask for
+the totals alone; only the checks pay for each row's extremes and edge
+entries and each column's minimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,16 +49,23 @@ CIRCUIT_CELL_LIMIT = 1 << 28
 # 1.2e9 cells per second the sweep reaches on a 2-CPU Xeon.
 SWEEP_CELL_LIMIT = 1 << 34
 
+# Cells in one block of rows of the summary pass: 512 KiB of int64.  Each
+# field is one pass over the block, so a block that stays in a core's L2
+# cache between passes keeps the pass as fast as one row at a time on long
+# rows.
+_BLOCK_CELLS = 1 << 16
 
-def _abs_diff_checked(values: np.ndarray) -> np.ndarray:
+
+def _abs_diff_checked(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Absolute consecutive differences of a signed row, overflow-checked.
 
-    Only the first derivation can overflow: once entries are nonnegative,
-    |x - y| <= max(x, y) keeps every later row inside int64.
+    Written into ``out`` when given.  Only the first derivation can
+    overflow: once entries are nonnegative, |x - y| <= max(x, y) keeps every
+    later row inside int64.
     """
     if values.size < 2:
         raise RangeError("cannot derive from fewer than two values")
-    out = values[1:] - values[:-1]
+    out = np.subtract(values[1:], values[:-1], out=out)
     if int(values.max()) - int(values.min()) > I64_MAX:
         # A wrapped difference has the wrong sign; -2^63 has no absolute value.
         bad = ((out < 0) != (values[1:] < values[:-1])) | (out == I64_MIN)
@@ -200,60 +211,139 @@ class _Summary(NamedTuple):
     column_argmins: list[int] | None = None
 
 
-def _summarize_rows(rows: Iterable[np.ndarray], n: int, checks: bool) -> _Summary:
-    """The summary of rows 1..n-1 of an n-term circuit, read once in order.
+def _block_height(width: int, checks: bool) -> int:
+    """Rows of ``width`` segments in one block: as many as fit in ``_BLOCK_CELLS``.
 
-    Without ``checks`` only the totals are read, and no check buffer is made.
+    At least two for the totals, which pass over a block twice.  The checks
+    pass over it about eight times, and take a wider row alone, so that each
+    pass finds the row still in cache.
     """
-    # Row 0 of each pair holds the high limbs, row 1 the low limbs.
-    limbs = np.empty((2, n - 1), dtype=np.int64)
-    columns = np.zeros((2, n - 1), dtype=np.int64)
+    return max(1 if checks else 2, _BLOCK_CELLS // width)
+
+
+def _fold_rows(stack: np.ndarray) -> np.ndarray:
+    """The sum of ``stack`` along its first axis, added into ``stack[0]``.
+
+    Halves the stack with one vector add per step; every entry but the last
+    is overwritten.
+    """
+    r = len(stack)
+    while r > 1:
+        h = r // 2
+        np.add(stack[:h], stack[r - h : r], out=stack[:h])
+        r -= h
+    return stack[0]
+
+
+def _summarize_rows(o: Originator, checks: bool) -> _Summary:
+    """The summary of rows 1..n-1 of the circuit of ``o``, derived a block at a time.
+
+    A block is ``height`` rows of the circuit, the first one ``width``
+    segments wide, laid out as a ``height`` x ``width`` array in one reused
+    buffer; row j of it holds width - j segments and j cells past its end.
+    Those cells are set to ``I64_MAX`` for the minima, then to 0 for the
+    maxima, the narrowing and the sums, so each field takes one reduction
+    over the block.  A block's first row is derived from the last row of the
+    block before it, so a block starts at the front of the buffer unless
+    that row lies there, as a block of one row does; it then starts just
+    past that row.  The buffer holds two rows or ``_BLOCK_CELLS``.  Without
+    ``checks`` only the totals are read, and no check buffer is made.
+    """
+    width = o.n - 1
+    size = max(_BLOCK_CELLS, 2 * width)
+    cells = np.empty(size, dtype=np.int64)
+    # No entry exceeds row 1's maximum, and no total holds more than n - 1
+    # entries: within that bound no int64 sum wraps.
+    exact = int(_abs_diff_checked(o.terms, cells[:width]).max()) * width <= I64_MAX
+    # Row 0 holds the high limbs of the traces, row 1 the low limbs.
+    columns = np.zeros((2, width), dtype=np.int64)
+    limbs = None
     row_sums = []
     if checks:
         per_row = row_maxima, row_minima, firsts, second_lasts, lasts, narrowing = (
             [], [], [], [], [], []
         )
-        column_minima = np.full(n - 1, I64_MAX, dtype=np.int64)
-        column_argmins = np.ones(n - 1, dtype=np.int64)
-        mask = np.empty(n - 1, dtype=bool)
-    exact = False
-    for k, row in enumerate(rows, start=1):
-        m = row.size
-        if checks or not exact:
-            top = int(row.max())
-        if k == 1:
-            # No entry exceeds row 1's maximum, and no total holds more than
-            # n - 1 entries: within that bound no int64 sum wraps.
-            exact = top * (n - 1) <= I64_MAX
+        column_minima = np.full(width, I64_MAX, dtype=np.int64)
+        column_argmins = np.ones(width, dtype=np.int64)
+        block_minima = np.empty(width, dtype=np.int64)
+        flags = np.empty(size, dtype=bool)
+    # A block of two rows or more fits in _BLOCK_CELLS, and holds no more
+    # rows than its width: its height squared fits too.
+    tril = np.tri(math.isqrt(_BLOCK_CELLS), dtype=bool)
+    k, start = 1, 0
+    while True:
+        height = min(width, _block_height(width, checks), (size - start) // width)
+        block = cells[start : start + height * width].reshape(height, width)
+        for j in range(1, height):
+            at = start + (j - 1) * width
+            _derive_into(cells[at : at + width - j + 1], cells[at + width : at + 2 * width - j])
+        if height > 1:
+            # The cells past the rows' ends: read from row 1's first one on
+            # with a row stride of width - 1, they are the lower triangle,
+            # diagonal included, of a square.
+            ends = np.ndarray(
+                (height - 1, height - 1),
+                np.int64,
+                cells,
+                8 * (start + 2 * width - 1),
+                (8 * (width - 1), 8),
+            )
+            ends_mask = tril[: height - 1, : height - 1]
         if checks:
-            row_maxima.append(top)
-        if exact or top <= _LOW_MASK:
-            # The row is its own low limb and its high limb is all 0s, or its
-            # sums are proved to fit.
-            row_sums.append(int(row.sum()))
-            columns[1, :m] += row
+            if height > 1:
+                np.copyto(ends, I64_MAX, where=ends_mask)
+            row_minima += np.minimum.reduce(block, axis=1).tolist()
+            least = (
+                block[0] if height == 1 else np.minimum.reduce(block, axis=0, out=block_minima[:width])
+            )
+            improved = np.less(least, column_minima[:width], out=flags[:width])
+            if improved.any():
+                cols = np.flatnonzero(improved)
+                # The first row of the block that reaches each new minimum.
+                reached = flags[: height * width].reshape(height, width)
+                np.equal(block, least, out=reached)
+                column_argmins[cols] = reached[:, cols].argmax(axis=0) + k
+                column_minima[cols] = least[cols]
+        if height > 1:
+            np.copyto(ends, 0, where=ends_mask)
+        if checks or not exact:
+            maxima = np.maximum.reduce(block, axis=1).tolist()
+        if checks:
+            row_maxima += maxima
+            firsts += block[:, 0].tolist()
+            lasts += block[:, ::-1].diagonal().tolist()
+            second_lasts += block[:, -2::-1].diagonal().tolist()
+            if height > 1:
+                pairs = flags[: (height - 1) * (width - 1)].reshape(height - 1, width - 1)
+                np.less_equal(block[1:, :-1], block[:-1, 1:], out=pairs)
+                narrowing += np.logical_and.reduce(pairs, axis=1).tolist()
+        if exact or maxima[0] <= _LOW_MASK:
+            # The block is its own low limb and its high limb is all 0s, or
+            # its sums are proved to fit.  The fold comes last: it
+            # overwrites all rows but the last.
+            row_sums += np.add.reduce(block, axis=1).tolist()
+            low = columns[1, :width]
+            np.add(low, _fold_rows(block), out=low)
         else:
-            pair = limbs[:, :m]
-            np.right_shift(row, _LIMB_BITS, out=pair[0])
-            np.bitwise_and(row, _LOW_MASK, out=pair[1])
-            high, low = pair.sum(axis=1).tolist()
-            row_sums.append((high << _LIMB_BITS) + low)
-            columns[:, :m] += pair
-        if not checks:
-            continue
-        row_minima.append(int(row.min()))
-        firsts.append(int(row[0]))
-        lasts.append(int(row[-1]))
-        if m > 1:
-            second_lasts.append(int(row[-2]))
-        if k > 1:
-            # A row stream still holds row k-1 when it yields row k.
-            np.less_equal(row, previous[1:], out=mask[:m])
-            narrowing.append(bool(mask[:m].all()))
-        if np.less(row, column_minima[:m], out=mask[:m]).any():
-            np.copyto(column_minima[:m], row, where=mask[:m])
-            np.copyto(column_argmins[:m], k, where=mask[:m])
-        previous = row
+            if limbs is None:
+                limbs = np.empty(2 * size, dtype=np.int64)
+            # Row j of the block is pair[j]: its high limbs, then its low limbs.
+            pair = limbs[: 2 * height * width].reshape(height, 2, width)
+            np.right_shift(block, _LIMB_BITS, out=pair[:, 0])
+            np.bitwise_and(block, _LOW_MASK, out=pair[:, 1])
+            row_sums += [(h << _LIMB_BITS) + l for h, l in np.add.reduce(pair, axis=2).tolist()]
+            both = columns[:, :width]
+            np.add(both, _fold_rows(pair), out=both)
+        k += height
+        width -= height
+        if width == 0:
+            break
+        at = start + (height - 1) * (width + height)
+        last = cells[at : at + width + 1]
+        start = 0 if at >= width else at + width + 1
+        row = _derive_into(last, cells[start : start + width])
+        if checks:
+            narrowing.append(bool(np.less_equal(row, last[1:], out=flags[:width]).all()))
     traces = [(high << _LIMB_BITS) + low for high, low in zip(*columns.tolist())]
     if not checks:
         return _Summary(row_sums, traces)
@@ -285,7 +375,7 @@ class _StreamedCircuit:
         """The cached summary; ``checks`` asks for its check fields too."""
         summary = self._cached_summary
         if summary is None or (checks and summary.row_maxima is None):
-            summary = _summarize_rows(_rows(self.originator), self.n, checks)
+            summary = _summarize_rows(self.originator, checks)
             self._cached_summary = summary
         return summary
 

@@ -5,6 +5,8 @@ integers and lists — no numpy, no shared code with the package — so a test
 comparing the two routes actually compares independent computations.
 """
 
+import re
+
 
 def triangle_rows(terms):
     """All derived rows: row k is the absolute differences of row k-1."""
@@ -184,4 +186,20 @@ def random_generalized(n, g_max, seed):
     terms = [1]
     for _ in range(n - 1):
         terms.append(terms[-1] + 2 * (1 + rng.below(g_max // 2)))
+    return terms
+
+
+def parse_sequence(text):
+    """The sequence text format read one token at a time: the list of terms,
+    or the first bad token's ("token" or "overflow", line, column)."""
+    terms = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        for match in re.finditer(r"[^\s,]+", line):
+            token, column = match.group(), match.start() + 1
+            if not re.fullmatch(r"[+-]?[0-9]+", token):
+                return ("token", lineno, column)
+            if not -(2**63) <= int(token) < 2**63:
+                return ("overflow", lineno, column)
+            terms.append(int(token))
     return terms

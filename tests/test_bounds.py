@@ -499,21 +499,21 @@ class TestOnePass:
     def stats(self, c):
         return path_lengths(c), traces(c), trace(c, 1), circuit_length(c)
 
-    def count_rows(self, monkeypatch):
-        """The list of circuits whose rows are derived from now on."""
-        derived, rows = [], triangle._rows
+    def count_passes(self, monkeypatch):
+        """The list of originators whose rows a block pass derives from now on."""
+        derived, summarize = [], triangle._summarize_rows
 
-        def counted_rows(o):
+        def counted_pass(o, checks):
             derived.append(o)
-            return rows(o)
+            return summarize(o, checks)
 
-        monkeypatch.setattr(triangle, "_rows", counted_rows)
+        monkeypatch.setattr(triangle, "_summarize_rows", counted_pass)
         return derived
 
     def test_stats_then_checks(self, monkeypatch):
         c = _StreamedCircuit(PRIMES60.originator)
         want_stats, want_reports = self.stats(PRIMES60), run_all_checks(PRIMES60)
-        derived = self.count_rows(monkeypatch)
+        derived = self.count_passes(monkeypatch)
         assert self.stats(c) == want_stats
         assert derived == [c.originator]
         assert c._cached_summary[3:] == (None,) * 7
@@ -525,7 +525,7 @@ class TestOnePass:
     def test_checks_then_stats(self, monkeypatch):
         c = _StreamedCircuit(PRIMES60.originator)
         want_stats, want_reports = self.stats(PRIMES60), run_all_checks(PRIMES60)
-        derived = self.count_rows(monkeypatch)
+        derived = self.count_passes(monkeypatch)
         assert list(iter_checks(c)) == want_reports
         assert derived == [c.originator]
         assert self.stats(c) == want_stats

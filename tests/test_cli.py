@@ -284,7 +284,7 @@ class TestDerivationLimit:
         # five terms make 10 cells, six make 15
         monkeypatch.setattr(cli, "SWEEP_CELL_LIMIT", 10)
         assert run_cli(capsys, command, "--primes", "5")[0] == 0
-        monkeypatch.setattr(triangle, "_rows", _refuse_circuit)
+        monkeypatch.setattr(triangle, "_summarize_rows", _refuse_circuit)
         assert run_cli(capsys, command, "--primes", "6") == (
             2,
             "",
@@ -784,7 +784,7 @@ class TestStreamedVerify:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["stats", "check"])
-    @pytest.mark.parametrize("argv, capacity", [(["--primes", "100000"], 100000), (["--limit", "100000"], 10902)])
+    @pytest.mark.parametrize("argv, capacity", [(["--primes", "100000"], 100000), (["--limit", "100000"], 9649)])
     def test_sieve_budget_messages(self, capsys, monkeypatch, command, argv, capacity):
         # 4096 bytes admit the base primes of a stream, but not the held array
         monkeypatch.setenv("GAPCIRCUIT_SIEVE_BUDGET", "4096")

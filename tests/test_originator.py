@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -335,3 +336,34 @@ class TestSequenceText:
     def test_roundtrip_property(self, terms):
         o = Originator(terms)
         assert load_sequence(render_sequence(o)) == o
+
+
+# Tokens of every kind: integers of up to 25 digits (leading zeros included,
+# around the int64 edge too), bad tokens, separators and comments.
+_text_pieces = st.one_of(
+    st.integers(-(2**64), 2**64).map(str),
+    st.integers(0, 10**25).map(lambda v: "+" + str(v).zfill(22)),
+    st.sampled_from(["9223372036854775807", "-9223372036854775808", "9223372036854775808",
+                     "1.5", "x", "1-2", "+", "--3", "\u0663"]),
+    st.sampled_from([" ", ",", ", ", "\t", "\r", "\n", "\n\n", "# note 5\n", "#"]),
+)
+
+
+class TestSequenceTextFastPath:
+    """Lines read whole by one pattern give what a token-by-token read gives:
+    the same terms, or the same error at the same line and column."""
+
+    @given(st.lists(_text_pieces, max_size=30).map("".join))
+    @settings(max_examples=300)
+    def test_matches_token_reader(self, text):
+        want = oracle.parse_sequence(text)
+        try:
+            got = load_sequence(text).terms.tolist()
+        except EmptyInputError:
+            got = []
+        except SequenceParseError as exc:
+            got = ("token", exc.line, exc.column)
+        except Int64OverflowError as exc:
+            line, column = re.match(r"line (\d+), column (\d+):", str(exc)).groups()
+            got = ("overflow", int(line), int(column))
+        assert got == want

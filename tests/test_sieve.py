@@ -182,3 +182,26 @@ class TestArrayMemory:
         primes = sieve.primes_up_to_array(10**6)
         assert primes.size == 78498 < sieve.prime_count_upper_bound(10**6)
         assert int(primes[-1]) == 999983
+
+
+class TestPrimeCountBound:
+    """prime_count_upper_bound never falls below pi(x), and stays close to it."""
+
+    def test_every_limit_to_a_million(self):
+        limit = 10**6
+        flags = np.ones(limit + 1, dtype=bool)
+        flags[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p :: p] = False
+        counts = np.cumsum(flags).tolist()
+        bounds = [sieve.prime_count_upper_bound(x) for x in range(limit + 1)]
+        short = [x for x, (bound, count) in enumerate(zip(bounds, counts)) if bound < count]
+        assert short == []
+
+    @pytest.mark.parametrize(
+        "limit, count",
+        [(10**5, 9592), (10**7, 664579), (10**8, 5761455), (10**9, 50847534), (10**10, 455052511)],
+    )
+    def test_known_counts(self, limit, count):
+        assert count <= sieve.prime_count_upper_bound(limit) <= 1.008 * count

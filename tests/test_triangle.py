@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -530,7 +532,7 @@ class TestExactBound:
     @example([0, I64_MAX], True)
     @settings(max_examples=200)
     def test_matches_oracle(self, terms, checks):
-        summary = _summarize_rows(_rows(Originator(terms)), len(terms), checks)
+        summary = _summarize_rows(Originator(terms), checks)
         assert (summary.row_sums, summary.traces) == oracle.row_sums_and_traces(terms)
         assert summary.row_maxima == (oracle.row_maxima(terms) if checks else None)
 
@@ -580,6 +582,72 @@ class TestSummary:
         s = streamed([5, 6, -(2**63), 1])
         with pytest.raises(Int64OverflowError, match=r"segment \|-9223372036854775808 - 6\|"):
             s._summary()
+
+
+def oracle_summary(terms, checks):
+    """The summary of ``terms`` as the oracle computes it, row by row."""
+    sums, taus = oracle.row_sums_and_traces(terms)
+    if not checks:
+        return _Summary(sums, taus)
+    edges = oracle.row_edges(terms)
+    minima = oracle.column_minima(terms)
+    return _Summary(
+        sums,
+        taus,
+        oracle.row_maxima(terms),
+        [e[0] for e in edges],
+        [e[1] for e in edges],
+        [e[2] for e in edges[:-1]],
+        [e[3] for e in edges],
+        oracle.narrowing(terms),
+        [least for least, _ in minima],
+        [first for _, first in minima],
+    )
+
+
+class TestBlockPass:
+    """The summary pass agrees with the oracle whatever the block height:
+    blocks of 1 to 7 rows, cut anywhere in the triangle, on the exact and the
+    limb sums, with the check fields asked for first or after the totals."""
+
+    @given(
+        st.one_of(
+            terms_strategy,
+            edge_terms_strategy,
+            terms_at_bound(I64_MAX + 1),
+            st.tuples(st.integers(-(2**63), I64_MAX), st.integers(2, 20)).map(
+                lambda c: [c[0]] * c[1]
+            ),
+        ),
+        st.integers(1, 7),
+        st.booleans(),
+    )
+    @example([5, 9], 1, False)
+    @example([5, 9, 2], 3, True)
+    @example(list(range(0, 80, 10)), 2, True)
+    @example(oracle.first_primes(12), 1, True)
+    @example(oracle.first_primes(9), 3, False)
+    @example([0, 2**62, 0, 2**62, 0], 2, True)
+    @example([0, 2**63 - 1, -1], 2, False)
+    @settings(max_examples=300)
+    def test_matches_oracle(self, terms, height, totals_first):
+        s = streamed(terms)
+        with mock.patch.object(triangle, "_block_height", lambda width, checks: height):
+            if max(oracle.triangle_rows(terms)[0]) > I64_MAX:
+                for checks in (False, True):
+                    with pytest.raises(Int64OverflowError):
+                        s._summary(checks)
+                return
+            if totals_first:
+                assert s._summary(checks=False) == oracle_summary(terms, False)
+            assert s._summary() == oracle_summary(terms, True)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 1000, triangle._BLOCK_CELLS // 2 + 1, 10**6])
+    @pytest.mark.parametrize("checks, least", [(False, 2), (True, 1)])
+    def test_block_height(self, width, checks, least):
+        # As many rows as fit in _BLOCK_CELLS, and the least height when fewer do.
+        height = triangle._block_height(width, checks)
+        assert height * width <= max(triangle._BLOCK_CELLS, least * width) < (height + 1) * width
 
 
 class TestCircuitCellLimit:
