@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import sieve
-from .bounds import _check_columns, _Columns, _column_counts, _statuses
+from .bounds import BoundReport, _check_columns, _Columns, _column_counts, _statuses
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps them by
 # their names in this module.
 from .bounds import run_all_checks, summarize  # noqa: F401
@@ -59,8 +59,8 @@ from .verifier import (
 
 DEFAULT_TRIANGLE_CAP = 10_000
 
-# Scalar values held before each write, or check's reports written at once:
-# the rendered report is never held whole.
+# The items of a flat list written at once, or check's reports: the rendered
+# report is never held whole.
 JSON_BATCH_CHUNKS = 4096
 
 
@@ -85,34 +85,20 @@ def _flat_encoder(depth: int):
     return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
 
 
-def _written(out: list[str], held: int) -> int:
-    """Write and empty ``out`` once its ``held`` items reach ``JSON_BATCH_CHUNKS``.
+def _put_json(value, depth: int) -> None:
+    """Write ``value`` to stdout as ``json.dumps(value, indent=2)`` writes it at ``depth``.
 
-    Returns the items left held.
+    A non-empty list or tuple of scalars goes to the C encoder,
+    ``JSON_BATCH_CHUNKS`` items a write.  Any other container is walked here
+    and written an item at a time, a scalar as ``_SCALARS`` spells it.  Any
+    other iterator is written as a list, each item read only once the one
+    before it is written.  Dict keys must be strings.
     """
-    if held < JSON_BATCH_CHUNKS:
-        return held
-    sys.stdout.write("".join(out))
-    out.clear()
-    return 0
-
-
-def _put_json(value, depth: int, out: list[str], held: int = 0) -> int:
-    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` writes it at ``depth``.
-
-    A list or tuple of scalars goes to the C encoder, ``JSON_BATCH_CHUNKS``
-    items a call.  Any other container is walked here, its scalars spelled
-    through ``_SCALARS``: at the size of a report's dict that is quicker than
-    the encoder's set-up per call.  Any other iterator is written as a list,
-    only as it is reached.  Dict keys must be strings.
-
-    ``held`` counts the items in ``out``, and the count after ``value`` is
-    returned; ``out`` is written out by ``_written`` as items are added.
-    """
+    write = sys.stdout.write
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
-        out.append(scalar(value))
-        return held + 1
+        write(scalar(value))
+        return
     inner = "\n" + "  " * (depth + 1)
     keyed = isinstance(value, dict)
     if not keyed:
@@ -121,40 +107,28 @@ def _put_json(value, depth: int, out: list[str], held: int = 0) -> int:
                 encode = _flat_encoder(depth)
                 separator = "[" + inner
                 for start in range(0, len(value), JSON_BATCH_CHUNKS):
-                    part = value[start : start + JSON_BATCH_CHUNKS]
-                    out.append(separator + encode(part)[1:-1])
-                    held = _written(out, held + len(part))
+                    write(separator + encode(value[start : start + JSON_BATCH_CHUNKS])[1:-1])
                     separator = "," + inner
-                out.append("\n" + "  " * depth + "]")
-                return held
+                write("\n" + "  " * depth + "]")
+                return
         elif not isinstance(value, Iterator):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     opening, closing = "{}" if keyed else "[]"
-    separator, comma = opening + inner, "," + inner
+    separator = opening + inner
     for item in value.items() if keyed else value:
         if keyed:
             key, item = item
-            separator = separator + encode_basestring_ascii(key) + ": "
-        scalar = _SCALARS.get(type(item))
-        if scalar is not None:
-            out.append(separator + scalar(item))
-            held += 1
-        else:
-            out.append(separator)
-            held = _put_json(item, depth + 1, out, held)
-        if held >= JSON_BATCH_CHUNKS:
-            held = _written(out, held)
-        separator = comma
-    out.append(opening + closing if separator[0] == opening else "\n" + "  " * depth + closing)
-    return held
+            separator += encode_basestring_ascii(key) + ": "
+        write(separator)
+        _put_json(item, depth + 1)
+        separator = "," + inner
+    write(opening + closing if separator[0] == opening else "\n" + "  " * depth + closing)
 
 
 def _emit_json(payload) -> None:
-    """Write ``json.dumps(payload, indent=2)`` and a newline, a batch at a time."""
-    out: list[str] = []
-    _put_json(payload, 0, out)
-    out.append("\n")
-    sys.stdout.write("".join(out))
+    """Write ``json.dumps(payload, indent=2)`` and a newline, as ``_put_json`` writes it."""
+    _put_json(payload, 0)
+    sys.stdout.write("\n")
 
 
 def _slices(r: _Columns) -> Iterator[tuple[slice, tuple]]:
@@ -184,14 +158,15 @@ def _slices(r: _Columns) -> Iterator[tuple[slice, tuple]]:
         start = stop
 
 
+@cache
 def _stub(shape: tuple) -> tuple[dict, Callable[[str], str]]:
-    """A stub report dict of ``shape`` (see ``_slices``), and what makes its texts templates.
+    """A stub report's JSON dict of ``shape`` (see ``_slices``), and what makes its texts templates.
 
-    The stub's name index and its every other scalar is a distinct marker
-    int; its keys are those of ``BoundReport.to_json_dict``.  The function
-    turns a text written from the stub into a ``%`` template: each marker
-    becomes ``%d`` for an int or ``%s`` for a value spelled beforehand, and
-    any other ``%`` is escaped.  Its slots come in the order of the text.
+    The stub is a ``BoundReport``, made once per shape, whose name index and
+    every other scalar is a distinct marker int.  The function turns a text
+    written from the stub into a ``%`` template: each marker becomes ``%d``
+    for an int or ``%s`` for a value spelled beforehand, and any other ``%``
+    is escaped.  Its slots come in the order of the text.
     """
     name, indexed, middle, witnesses, extra = shape
     # Markers all have one number of digits, more than the JSON text of the
@@ -204,18 +179,19 @@ def _stub(shape: tuple) -> tuple[dict, Callable[[str], str]]:
         slots.append("%d" if kind is int else "%s")
         return base + len(slots)
 
-    report = {"name": name % marker(int) if indexed else name, "lhs": marker(int)}
-    report["rhs"] = marker(int)
-    if middle:
-        report["middle"] = marker(int)
-    report["holds"] = marker(bool)
-    report["precondition_met"] = marker(bool)
-    report["witnesses"] = [[marker(int), marker(int)] for _ in range(witnesses)]
-    if extra:
-        report["extra"] = {
+    report = BoundReport(
+        name=name % marker(int) if indexed else name,
+        lhs=marker(int),
+        rhs=marker(int),
+        middle=marker(int) if middle else None,
+        holds=marker(bool),
+        precondition_met=marker(bool),
+        witnesses=tuple((marker(int), marker(int)) for _ in range(witnesses)),
+        extra=extra and {
             key: list(map(marker, kind)) if isinstance(kind, tuple) else marker(kind)
             for key, kind in extra
-        }
+        },
+    ).to_json_dict()
 
     def template(text: str) -> str:
         text = text.replace("%", "%%")

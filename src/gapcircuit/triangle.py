@@ -344,7 +344,9 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
         row = _derive_into(last, cells[start : start + width])
         if checks:
             narrowing.append(bool(np.less_equal(row, last[1:], out=flags[:width]).all()))
-    traces = [(high << _LIMB_BITS) + low for high, low in zip(*columns.tolist())]
+    traces = columns[1].tolist()
+    if limbs is not None:  # else no block took the limb path: every high limb is 0
+        traces = [(high << _LIMB_BITS) + low for high, low in zip(columns[0].tolist(), traces)]
     if not checks:
         return _Summary(row_sums, traces)
     return _Summary(row_sums, traces, *per_row, column_minima.tolist(), column_argmins.tolist())

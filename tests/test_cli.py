@@ -252,7 +252,7 @@ class TestCircuitCellLimit:
     )
     def test_refused_before_allocating(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(triangle, "Circuit", _refuse_circuit)
-        monkeypatch.setattr(triangle, "_rows", _refuse_circuit)
+        monkeypatch.setattr(triangle, "_summarize_rows", _refuse_circuit)
         tracemalloc.start()
         try:
             result = run_cli(capsys, *argv)
@@ -480,6 +480,21 @@ class TestJsonWriter:
         assert max(len(re.findall(r"\d+", text)) for text in writes) <= 2 * 4
         assert "".join(writes) == json.dumps({**payload, "b": list(range(50))}, indent=2) + "\n"
 
+    def test_iterator_items_written_as_read(self, monkeypatch):
+        # each row is written in full before the next one is read
+        writes, closed = [], []
+        monkeypatch.setattr(cli.sys, "stdout", mock.Mock(write=writes.append))
+
+        def rows():
+            for k in range(5):
+                closed.append("".join(writes).count("]"))
+                yield [k, k + 1]
+
+        cli._emit_json({"n": 5, "rows": rows()})
+        assert closed == [0, 1, 2, 3, 4]
+        rows_written = [[k, k + 1] for k in range(5)]
+        assert "".join(writes) == json.dumps({"n": 5, "rows": rows_written}, indent=2) + "\n"
+
     @pytest.mark.parametrize("batch", [1, 2, 7])
     def test_check_report_bytes(self, capsys, monkeypatch, batch):
         want = run_cli(capsys, "check", "--primes", "30")
@@ -528,10 +543,8 @@ def _refuse_report(*args, **kwargs):
 
 
 def _report_text(report) -> str:
-    """``_put_json``'s text of one report in check's list of reports."""
-    out = []
-    cli._put_json(report.to_json_dict(), 2, out)
-    return "".join(out)
+    """The JSON text of one report in check's list of reports."""
+    return json.dumps(report.to_json_dict(), indent=2).replace("\n", "\n    ")
 
 
 CHECK_FORMATS = ["json", "csv", "text"]
