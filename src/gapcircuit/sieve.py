@@ -8,11 +8,13 @@ numbers above 2 are never stored or crossed out, so each flag byte covers
 two integers and the Python loop over the base primes, which runs once per
 window, runs half as often for a window of the same byte size.
 
-``prime_windows`` and ``first_n_prime_windows`` hand out the primes one
-window at a time, so a streamed reader holds one window and the base
-primes; the n-prime version stops at the n-th prime.  ``_joined`` copies
-windows into one array as they are sieved, for ``primes_up_to_array``,
-``first_n_primes_array`` and the base primes, and is the one budget check.
+``prime_windows`` and ``first_n_prime_windows`` hand out the primes of
+each window in pieces of ``PIECE_SIZE`` flags, and cross every window out
+in one flag buffer made once per stream, so a streamed reader holds that
+buffer, one piece and the base primes; the n-prime version stops at the
+n-th prime.  ``_joined`` copies the pieces into one array as they are
+sieved, for ``primes_up_to_array``, ``first_n_primes_array`` and the base
+primes, and is the one budget check.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from .errors import RangeError, SieveBudgetError
 # Odd integers sieved per window (one byte of flag each).  Larger windows trade
 # cache locality for fewer passes of the Python loop over the base primes.
 SEGMENT_SIZE = 1 << 20
+
+# Flags per handed-out array: a crossed-out window leaves in pieces of this
+# many flags, so a piece's primes, and a streamed reader's int64 arrays made
+# from them (row 1 of the verifier), cover a quarter window.
+PIECE_SIZE = 1 << 18
 
 # Ceiling on the byte size of any emitted prime array (8 bytes per prime).
 DEFAULT_BUDGET_BYTES = 1 << 29
@@ -80,8 +87,8 @@ def nth_prime_upper_bound(n: int) -> int:
     return int(x * (math.log(x) + math.log(math.log(x)))) + 1
 
 
-def _odd_window(lo: int, count: int, odd_base: np.ndarray, steps: list[int]) -> np.ndarray:
-    """The primes among the ``count`` odd integers from ``lo`` on.
+def _odd_window(lo: int, flags: np.ndarray, odd_base: np.ndarray, steps: list[int]) -> None:
+    """Set ``flags`` to mark the primes among the odd integers from ``lo`` on.
 
     Flag i stands for the odd integer lo + 2i.  Every base prime is below
     lo, so crossing out from its first odd multiple >= lo never hits a prime.
@@ -89,23 +96,28 @@ def _odd_window(lo: int, count: int, odd_base: np.ndarray, steps: list[int]) -> 
     first = -(-lo // odd_base) * odd_base
     # Adding an odd p to an even multiple of p makes it odd.
     first += odd_base * (first % 2 == 0)
-    seg = np.ones(count, dtype=bool)
+    flags.fill(True)
     for p, start in zip(steps, ((first - lo) // 2).tolist()):
-        seg[start::p] = False
-    primes = np.flatnonzero(seg)
+        flags[start::p] = False
+
+
+def _marked(flags: np.ndarray, lo: int) -> np.ndarray:
+    """The odd integers lo + 2i whose flag i is set, as int64."""
+    primes = np.flatnonzero(flags)
     primes *= 2
     primes += lo
     return primes
 
 
 def _windows(limit: int) -> Iterator[np.ndarray]:
-    """The primes <= limit, increasing, one int64 array per window.
+    """The primes <= limit, increasing, as consecutive int64 arrays.
 
     The first array holds the base primes up to sqrt(limit), joined from
     this same loop run to sqrt(limit); each later one the primes of one
-    window of ``SEGMENT_SIZE`` odd integers.
+    piece of ``PIECE_SIZE`` flags of a window of ``SEGMENT_SIZE`` odd
+    integers, crossed out in the one flag buffer of the loop.
     """
-    window = SEGMENT_SIZE
+    window, piece = SEGMENT_SIZE, PIECE_SIZE
     root = max(math.isqrt(limit), 2)
     if root < 4:
         base = np.array((2, 3)[: root - 1], dtype=np.int64)
@@ -114,19 +126,26 @@ def _windows(limit: int) -> Iterator[np.ndarray]:
     yield base
     odd_base = base[1:]
     steps = odd_base.tolist()
-    # The flags of a window are freed before its primes are handed out.
-    for lo in range((root + 1) | 1, limit + 1, 2 * window):
-        yield _odd_window(lo, min(window, (limit - lo) // 2 + 1), odd_base, steps)
+    first = (root + 1) | 1
+    buffer = np.empty(min(window, (limit - first) // 2 + 1), dtype=bool)
+    for lo in range(first, limit + 1, 2 * window):
+        flags = buffer[: (limit - lo) // 2 + 1]  # the last window may be short
+        _odd_window(lo, flags, odd_base, steps)
+        # Yielded unnamed, so no piece is held here while the next is made.
+        for at in range(0, flags.size, piece):
+            yield _marked(flags[at : at + piece], lo + 2 * at)
 
 
 def prime_windows(limit: int) -> Iterator[np.ndarray]:
     """All primes <= limit, increasing, as consecutive int64 arrays.
 
     The first array holds the primes up to sqrt(limit), each later one the
-    primes of one window of ``SEGMENT_SIZE`` odd integers; some may be
-    empty.  ``RangeError`` for limit < 2 is raised at the call.  Windows
-    are sieved only as they are read, and the only array held with them is
-    the base primes, so the budget limits only those: the first read raises
+    primes of one piece of ``PIECE_SIZE`` odd integers of a window of
+    ``SEGMENT_SIZE``; some may be empty.  ``RangeError`` for limit < 2 is
+    raised at the call.  Windows are sieved only as their first piece is
+    read, all in one flag buffer of at most ``SEGMENT_SIZE`` bytes made at
+    the first window, and the only array held with it is the base primes,
+    so the budget limits only those: the first read raises
     ``SieveBudgetError`` when they would exceed it.
     """
     if limit < 2:
@@ -138,8 +157,9 @@ def first_n_prime_windows(n: int) -> Iterator[np.ndarray]:
     """The first n primes, increasing, as consecutive int64 arrays.
 
     Sieving stops with the window that holds the n-th prime, and the last
-    array ends at it.  ``RangeError`` for n < 1 is raised at the call; the
-    budget applies to the base primes, as for ``prime_windows``.
+    array, the piece that holds it, ends at it.  ``RangeError`` for n < 1
+    is raised at the call; the budget applies to the base primes, as for
+    ``prime_windows``.
     """
     if n < 1:
         raise RangeError(f"prime count must be at least 1, got {n}")
@@ -147,19 +167,20 @@ def first_n_prime_windows(n: int) -> Iterator[np.ndarray]:
 
 
 def _take(n: int, windows: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The windows up to the one holding prime n, that one cut after it."""
+    """The arrays up to the one holding prime n, that one cut after it."""
     left = n
     for primes in windows:
         yield primes[:left]
         left -= primes.size
         if left <= 0:
             return
+        del primes  # dropped before the next array is sieved
     # nth_prime_upper_bound is a proven bound (Rosser), so this cannot happen.
     raise RuntimeError(f"the sieve found fewer than {n} primes")
 
 
 def _joined(windows: Iterator[np.ndarray], capacity: int) -> np.ndarray:
-    """The windows' primes copied into one read-only int64 array.
+    """The arrays' primes copied into one read-only int64 array.
 
     ``capacity`` must bound their count; the array is cut to the count in
     place, so it never exists twice.  Every held prime array is made here,

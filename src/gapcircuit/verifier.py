@@ -21,7 +21,10 @@ second read.  The frontier scan works on one column tile at a time.  Entry
 j of row k depends only on entries j..j+k-1 of row 1, so a tile with a halo
 of D = min(scan_depth, n - 1) extra columns can be derived through row D by
 itself.  A tile is scanned as soon as its columns and its halo have
-arrived, so the scan never needs all of row 1 at once.
+arrived, so the scan never needs all of row 1 at once.  The columns that
+wait for their tile are queued chunk by chunk, each chunk narrowed to the
+dtype of its own maximum (after the check of the first leader, so a run
+that fails at row 1 skips it), so they take a byte or two each, not eight.
 
 Each tile starts in the narrowest signed dtype that holds the maximum of its
 own row-1 columns, halo included: entries are nonnegative and
@@ -120,12 +123,17 @@ def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:
     return None, row.size
 
 
+# The signed dtypes narrower than int64, each with its largest value.
+_NARROW_DTYPES = tuple((int(np.iinfo(t).max), np.dtype(t)) for t in (np.int8, np.int16, np.int32))
+_INT64 = np.dtype(np.int64)
+
+
 def _narrowest_dtype(bound: int) -> np.dtype:
     """The narrowest signed integer dtype that holds 0..bound."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if bound <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
+    for top, dtype in _NARROW_DTYPES:
+        if bound <= top:
+            return dtype
+    return _INT64
 
 
 def _zeros_and_twos(values: np.ndarray) -> bool:
@@ -162,7 +170,10 @@ def _scan_tiles(
             elif lo == 0 and pending.size == 0 and chunk.size and chunk[0] != 1:
                 return (1, int(chunk[0])), None  # a bad first leader needs no tile
             else:
+                # Queued as narrow as its own maximum allows; the tile narrows again.
+                chunk = chunk.astype(_narrowest_dtype(int(chunk.max())), copy=False)
                 pending = np.concatenate((pending, chunk)) if pending.size else chunk
+                del chunk  # dropped before the next chunk is read
         if pending.size == 0:
             return None, certificate
         tile = pending[: TILE_COLUMNS + depth]
@@ -193,24 +204,37 @@ def _scan_tiles(
         lo += TILE_COLUMNS
 
 
+def _row1_chunk(last: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``_abs_diff_checked`` of ``last`` (no term or one) then ``terms``, not joined.
+
+    The pair across the edge is checked first, as the first pair of the
+    joined terms would be, then the window's own pairs, written in place.
+    """
+    chunk = np.empty(last.size + terms.size - 1, dtype=np.int64)
+    if last.size:
+        _abs_diff_checked(np.concatenate((last, terms[:1])), chunk[:1])
+    if terms.size > 1:
+        _abs_diff_checked(terms, chunk[last.size :])
+    return chunk
+
+
 def _row1_chunks(windows: Iterable[np.ndarray], terms_read: list[int]) -> Iterator[np.ndarray]:
     """Row 1 of the terms read in ``windows``, one overflow-checked chunk per window.
 
     A window's chunk starts with its difference from the last term of the
-    window before.  ``terms_read[0]`` grows by each window's size as it is read.
+    window before.  ``terms_read[0]`` grows by each window's size as it is
+    read.  Chunks are int64, as wide as their windows; the frontier scan
+    narrows each one where it queues it.
     """
-    last = None
+    last = np.empty(0, dtype=np.int64)
     for terms in windows:
         terms_read[0] += terms.size
-        if terms.size == 0:
-            continue
-        # The joined copy is a temporary, freed before the chunk is scanned.
-        if last is not None:
-            yield _abs_diff_checked(np.concatenate((last, terms)))
-        elif terms.size > 1:
-            yield _abs_diff_checked(terms)
-        # A view would keep the window alive through the next window's scan.
-        last = terms[-1:].copy()
+        if terms.size:
+            if last.size or terms.size > 1:
+                yield _row1_chunk(last, terms)
+            # A view would keep the window alive through the next window's scan.
+            last = terms[-1:].copy()
+        del terms  # dropped before the next window is read
 
 
 def _verify(

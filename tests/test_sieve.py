@@ -1,10 +1,13 @@
 import bisect
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from gapcircuit import RangeError, SieveBudgetError, sieve
@@ -66,9 +69,9 @@ class TestWindows:
         sieved = []
         original = sieve._odd_window
 
-        def recording(lo, count, odd_base, steps):
+        def recording(lo, flags, odd_base, steps):
             sieved.append(lo)
-            return original(lo, count, odd_base, steps)
+            return original(lo, flags, odd_base, steps)
 
         monkeypatch.setattr(sieve, "_odd_window", recording)
         for n in range(1, 200):
@@ -120,9 +123,9 @@ class TestWindows:
         sieved = []
         original = sieve._odd_window
 
-        def recording(lo, count, odd_base, steps):
+        def recording(lo, flags, odd_base, steps):
             sieved.append(lo)
-            return original(lo, count, odd_base, steps)
+            return original(lo, flags, odd_base, steps)
 
         monkeypatch.setattr(sieve, "_odd_window", recording)
         monkeypatch.setenv(sieve.BUDGET_ENV_VAR, "64")
@@ -156,6 +159,75 @@ class TestWindows:
             primes = sieve.first_n_primes_array(n)
             assert primes.tolist() == SMALL_PRIMES[:n]
             assert primes.flags.owndata and not primes.flags.writeable
+
+
+class TestPieces:
+    """Windows leave the one flag buffer in pieces of ``PIECE_SIZE`` flags."""
+
+    @given(
+        segment=st.integers(1, 16),
+        piece=st.integers(1, 7),
+        limit=st.integers(2, 400),
+        n=st.integers(1, 150),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_piece_edges(self, segment, piece, limit, n):
+        sieved = []
+        original = sieve._odd_window
+
+        def recording(lo, flags, odd_base, steps):
+            sieved.append(lo)
+            return original(lo, flags, odd_base, steps)
+
+        with (
+            mock.patch.object(sieve, "SEGMENT_SIZE", segment),
+            mock.patch.object(sieve, "PIECE_SIZE", piece),
+            mock.patch.object(sieve, "_odd_window", recording),
+        ):
+            windows = list(sieve.prime_windows(limit))
+            root = max(math.isqrt(limit), 2)
+            assert windows[0].tolist() == _expected(root)
+            self._check_pieces(windows[1:], piece)
+            assert _joined(windows) == _expected(limit)
+            # one array per started piece of every window
+            odd = range((root + 1) | 1, limit + 1, 2)
+            counts = [len(odd[i : i + segment]) for i in range(0, len(odd), segment)]
+            assert len(windows) == 1 + sum(-(-count // piece) for count in counts)
+
+            sieved.clear()
+            windows = list(sieve.first_n_prime_windows(n))
+            self._check_pieces(windows[1:], piece)
+            assert _joined(windows) == SMALL_PRIMES[:n]
+            assert windows[-1].size and int(windows[-1][-1]) == SMALL_PRIMES[n - 1]
+            # no window starts past the n-th prime
+            assert all(lo <= SMALL_PRIMES[n - 1] for lo in sieved)
+
+    @staticmethod
+    def _check_pieces(pieces, piece):
+        for primes in pieces:
+            assert primes.dtype == np.int64
+            assert (np.diff(primes) > 0).all()
+            # a piece of p flags spans fewer than 2p integers
+            assert primes.size == 0 or int(primes[-1]) - int(primes[0]) < 2 * piece
+
+    def test_one_flag_buffer_per_stream(self, monkeypatch):
+        # every window above the base primes is crossed out in the same buffer
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", 64)
+        monkeypatch.setattr(sieve, "PIECE_SIZE", 16)
+        buffers = []
+        original = sieve._odd_window
+
+        def recording(lo, flags, odd_base, steps):
+            buffers.append((lo, flags.base))
+            return original(lo, flags, odd_base, steps)
+
+        monkeypatch.setattr(sieve, "_odd_window", recording)
+        windows = sieve.prime_windows(10**5)
+        assert _joined(windows) == list(sympy.primerange(2, 10**5 + 1))
+        # the base primes to 316 come from a stream of their own, with its own buffer
+        outer = [base for lo, base in buffers if lo > 316]
+        assert len(outer) == len(range(317, 10**5 + 1, 128))
+        assert outer[0].size == 64 and all(base is outer[0] for base in outer)
 
 
 class TestArrayMemory:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -472,6 +473,86 @@ class TestStreamedFrontier:
         assert r.first_failure == (52, last - 3)
         for sizes in ((1,), (4, 60)):
             _streamed(terms, sizes=sizes)
+
+
+# Row-1 values on both sides of the int8, int16 and int32 edges, and a spike
+# that needs int64.
+DTYPE_EDGES = [127, 128, 32767, 32768, 2**31 - 1, 2**31, 2**62]
+
+
+def _walk(row1):
+    """Terms from 0 whose row 1 is ``row1``: each step goes down from above 0, else up.
+
+    With steps up to 2^62 the terms stay within +-2^62.
+    """
+    terms = [0]
+    for step in row1:
+        terms.append(terms[-1] - step if terms[-1] > 0 else terms[-1] + step)
+    return terms
+
+
+class TestMixedWidthQueue:
+    """Row-1 chunks narrowed to different dtypes share the scan's queue."""
+
+    @pytest.mark.parametrize("tile", range(1, 8))
+    @pytest.mark.parametrize("scan_depth", range(1, 8))
+    def test_alternating_edges(self, monkeypatch, tile, scan_depth):
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", tile)
+        # in windows of two terms, each chunk after the first is (2, v), so the
+        # chunks' maxima cross the dtype edges back and forth
+        tail = [127, 128, 127, 32767, 32768, 32767, 2**31 - 1, 2**31, 2**31 - 1, 2**62, 2, 128, 2]
+        for start in (1, 2, 8):  # the edges reach the leaders, tile 0's region, or neither
+            terms = _walk([1, 2, 2, 4, 2, 4, 2, 4][:start] + [x for v in tail for x in (2, v)])
+            _differential(terms, scan_depth)
+            for sizes in ((2,), (1, 3), (64,)):
+                _streamed(terms, scan_depth, sizes)
+
+    @given(
+        prefix=st.lists(st.sampled_from([0, 2, 2, 4, 6]), max_size=12),
+        values=st.lists(st.sampled_from([0, 2, *DTYPE_EDGES]), min_size=1, max_size=30),
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        tile=st.integers(1, 7),
+        scan_depth=st.integers(1, 7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_mixed_widths(self, prefix, values, sizes, tile, scan_depth):
+        terms = _walk([1, *prefix, *values])
+        with mock.patch.object(verifier, "TILE_COLUMNS", tile):
+            _differential(terms, scan_depth)
+            _streamed(terms, scan_depth, sizes)
+
+    @pytest.mark.parametrize(
+        "bound, dtype",
+        [
+            (0, np.int8),
+            (127, np.int8),
+            (128, np.int16),
+            (32767, np.int16),
+            (32768, np.int32),
+            (2**31 - 1, np.int32),
+            (2**31, np.int64),
+            (2**63 - 1, np.int64),
+        ],
+    )
+    def test_narrowest_dtype(self, bound, dtype):
+        assert verifier._narrowest_dtype(bound) == np.dtype(dtype)
+
+
+class TestStreamedMemory:
+    def test_peak_of_a_streamed_run(self):
+        # the stream holds one window's flags (1 MiB), a few int64 pieces of
+        # at most 2^18 flags each and the narrowed queue of one tile; the
+        # primes as one array would take 16 MB
+        tracemalloc.start()
+        try:
+            report = verifier.verify_frontier_windows(
+                partial(sieve.first_n_prime_windows, 2 * 10**6)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.stabilization_row == 162
+        assert peak < 3 * 2**20
 
 
 class TestSweepGuard:
