@@ -33,8 +33,12 @@ same bound applied to a derived row lets a tile wider than int8 narrow again
 once the row's maximum allows it, which is checked every ``NARROW_EVERY``
 rows.  Once a tile's region is all 0s and 2s it stays so (one column
 shorter per row), so every tile has a first such row, and the first row
-whose whole tail is in {0, 2} is the largest of these.  Tile 0 also carries
-the leaders, and a leader other than 1 there ends the scan.  A tile still
+whose whole tail is in {0, 2} is the largest of these.  So a tile is
+checked every row from the largest first row found so far, the running
+certificate, and every ``SETTLE_EVERY`` rows below it: a tile settled below
+the certificate cannot raise it, and stops there.  Tile 0 also carries
+the leaders, and a leader other than 1 there ends the scan; its running
+certificate is row 1, so it is checked every row.  A tile still
 unsettled at row D means no row within the scan depth has the certificate
 shape, so the run falls back to the naive sweep over the whole originator.
 """
@@ -60,13 +64,17 @@ from .triangle import SWEEP_CELL_LIMIT, _abs_diff_checked, _derive_into, _rows_f
 
 DEFAULT_SCAN_DEPTH = 500
 
-# Columns per tile of the frontier scan.  With its halo, a tile's two
-# buffers stay cache-resident for every dtype up to int32.
-TILE_COLUMNS = 1 << 16
+# Columns per tile of the frontier scan.  With its halo, a tile's two int32
+# buffers take 1 MB, which a core's 2 MB L2 cache holds.
+TILE_COLUMNS = 1 << 17
 
 # Rows between two checks of whether a tile's current row fits a narrower
 # dtype.  Each check reads the row once, about half the cost of a derivation.
 NARROW_EVERY = 4
+
+# Rows between two checks of whether a tile below the running certificate has
+# settled, which stops it early.  A failed check reads the row once.
+SETTLE_EVERY = 8
 
 # How many failing sequences a search report keeps for replay.
 KEPT_FAILURES = 5
@@ -185,10 +193,12 @@ def _scan_tiles(
         while True:
             if lo == 0 and cur[0] != 1:
                 return (k, int(cur[0])), None
-            # Only the largest first-stable row matters, so a tile is first
-            # checked at the certificate row found so far, or once it has
-            # run out of columns.
-            if (k >= certificate or cur.size == 0) and _zeros_and_twos(cur[region_start:]):
+            # Only the largest first-stable row matters, so a tile is checked
+            # every row from the certificate row found so far, and once it has
+            # run out of columns.  Below that row it is checked every
+            # SETTLE_EVERY rows: settled there, it cannot raise the certificate.
+            checked = k >= certificate or cur.size == 0 or k % SETTLE_EVERY == 0
+            if checked and _zeros_and_twos(cur[region_start:]):
                 certificate = max(certificate, k)
                 break
             if k == depth:

@@ -230,6 +230,58 @@ class TestPieces:
         assert outer[0].size == 64 and all(base is outer[0] for base in outer)
 
 
+def _plain_window(lo, size, odd_base):
+    """``_odd_window``'s flags from a plain fill(True) with every base prime crossed out."""
+    flags = np.ones(size, dtype=bool)
+    for p in odd_base.tolist():
+        first = -(-lo // p) * p
+        if first % 2 == 0:
+            first += p
+        flags[(first - lo) // 2 :: p] = False
+    return flags
+
+
+# Around the pattern's period of 15015 flags and twice that, so that the
+# doubling copy ends with a short copy, a whole one, and one flag more.
+FLAG_COUNTS = [1, 2, 3, 4, 5, 6, 7, 15014, 15015, 15016, 30030, 30031]
+
+
+class TestPresievedWindows:
+    """Windows copied from the 3..13 pattern against plainly crossed-out ones."""
+
+    @staticmethod
+    def _check(lo, size, root):
+        odd_base = np.array(_expected(root)[1:], dtype=np.int64)
+        flags = np.empty(size, dtype=bool)
+        sieve._odd_window(lo, flags, odd_base, odd_base.tolist())
+        assert np.array_equal(flags, _plain_window(lo, size, odd_base))
+
+    def test_every_phase(self):
+        # flag 0 of a window from lo stands at phase (lo - 1) / 2 of the period
+        period = 3 * 5 * 7 * 11 * 13
+        for phase in range(period):
+            lo = 2 * (phase + 7 * period) + 1
+            self._check(lo, FLAG_COUNTS[phase % len(FLAG_COUNTS)], 17)
+
+    @given(
+        lo=st.integers(0, 10**12),
+        size=st.sampled_from(FLAG_COUNTS),
+        root=st.integers(12, 200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_windows(self, lo, size, root):
+        # every base prime is below the window, as in the window loop
+        self._check(max(lo, root + 1) | 1, size, root)
+
+    @pytest.mark.parametrize("window", range(1, 8))
+    def test_roots_where_the_pattern_starts(self, monkeypatch, window):
+        # the pattern applies from root 13, where 3..13 are all base primes
+        # and every window lies above them
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", window)
+        for limit in range(12**2, 18**2):
+            assert sieve.primes_up_to_array(limit).tolist() == _expected(limit)
+
+
 class TestArrayMemory:
     """The joined arrays are filled window by window, never held twice."""
 

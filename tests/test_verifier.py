@@ -218,6 +218,50 @@ class TestTiledFrontier:
         assert r.method == "frontier"
         assert r.stabilization_row > plain
 
+    def test_tiles_stop_once_settled_below_the_certificate(self, monkeypatch):
+        # tile 0's halo holds a gap raised by 60, which settles only at row 49;
+        # later tiles, of plain prime gaps, settle earlier and stop at the
+        # first row checked below the certificate, a multiple of SETTLE_EVERY
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", 64)
+        primes = list(first_n_primes(1000))
+        terms = primes[:100] + [p + 60 for p in primes[100:]]
+        settled = []
+        original = verifier._zeros_and_twos
+
+        def recording(values):
+            if original(values):
+                settled.append(values.size)
+                return True
+            return False
+
+        monkeypatch.setattr(verifier, "_zeros_and_twos", recording)
+        r = _differential(terms)
+        assert r.stabilization_row == 49
+        # a tile's region at row k is k - 1 columns short of its row 1, and
+        # tile 0's region leaves out the leader
+        widths = [min(64 + 500, 999 - lo) for lo in range(0, 999, 64)]
+        rows = [w - size + (t > 0) for t, (w, size) in enumerate(zip(widths, settled))]
+        assert len(rows) == len(widths) and rows[0] == 49
+        # a tile whose region has run out of columns stops at any row
+        early = [k for k, size in zip(rows[1:], settled[1:]) if k < 49 and size]
+        assert early and all(k % verifier.SETTLE_EVERY == 0 for k in early)
+        assert _streamed(terms, sizes=(37,))[0].stabilization_row == 49
+
+    def test_rows_derived_on_the_first_hundred_thousand_primes(self, monkeypatch):
+        # 10^5 primes fit one tile of 2^17 columns; two tiles of 2^16, the
+        # second checked only from the certificate row on, derive 190 rows
+        calls = []
+        original = verifier._derive_into
+
+        def counting(row, out):
+            calls.append(row.size)
+            return original(row, out)
+
+        monkeypatch.setattr(verifier, "_derive_into", counting)
+        report = verifier.verify_frontier_windows(partial(sieve.first_n_prime_windows, 10**5))
+        assert report.stabilization_row == 97
+        assert len(calls) == 96
+
     @pytest.mark.parametrize("tile", [1, 3, 8, 64])
     @pytest.mark.parametrize("scan_depth", [1, 5, 500])
     def test_short_originators(self, monkeypatch, tile, scan_depth):
