@@ -180,7 +180,7 @@ class TestTiledFrontier:
         "peak, dtype",
         [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)],
     )
-    @pytest.mark.parametrize("tile", [64, verifier.TILE_COLUMNS])
+    @pytest.mark.parametrize("tile", [64, 2**16, verifier.TILE_COLUMNS])
     def test_dtype_edges(self, monkeypatch, peak, dtype, tile):
         monkeypatch.setattr(verifier, "TILE_COLUMNS", tile)
         terms = _with_row1_max(peak)
