@@ -20,6 +20,7 @@ from .errors import (
     Int64OverflowError,
     RangeError,
     SequenceParseError,
+    SieveBudgetError,
 )
 
 I64_MIN = -(1 << 63)
@@ -172,7 +173,8 @@ def random_generalized(model: RandomModel) -> Originator:
     """Random sequence starting at 1 whose gaps are uniform over {2, 4, ..., g_max}.
 
     The same model always yields the same sequence; the generator is seeded
-    from ``model.seed`` alone.
+    from ``model.seed`` alone.  ``SieveBudgetError``, before anything is
+    allocated, when the walk at 8 bytes a term would exceed the sieve budget.
     """
     if model.n == 1:
         return Originator(np.array([1], dtype=np.int64))
@@ -180,6 +182,12 @@ def random_generalized(model: RandomModel) -> Originator:
         # Even the smallest possible gaps already run out of 64 bits.
         raise Int64OverflowError(
             f"a sequence of {model.n} terms cannot fit in signed 64-bit integers"
+        )
+    budget = sieve.sieve_budget_bytes()
+    if 8 * model.n > budget:
+        raise SieveBudgetError(
+            f"a walk of {model.n} terms needs {8 * model.n} bytes, over the budget of "
+            f"{budget} bytes (raise {sieve.BUDGET_ENV_VAR} to allow this)"
         )
     half = model.g_max // 2
     # Draws above top, the end of the last whole cycle mod half, are skipped.

@@ -45,8 +45,10 @@ from .originator import (
 CIRCUIT_CELL_LIMIT = 1 << 28
 
 # Most cells derived for a whole triangle that is not held: the naive sweep's,
-# and the streamed rows of the stats and check commands.  About 14 s at the
-# 1.2e9 cells per second the sweep reaches on a 2-CPU Xeon.
+# and the streamed rows of the stats and check commands.  On a 2-CPU Xeon the
+# sweep takes about 2 s for them on prime rows, which it narrows to int8, at
+# 8.5e9 cells per second, and about 14 s, at 1.2e9, when a spike keeps every
+# row in int64.
 SWEEP_CELL_LIMIT = 1 << 34
 
 # Cells in one block of rows of the summary pass: 512 KiB of int64.  Each
@@ -86,22 +88,18 @@ def _derive_into(row: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows_from(row: np.ndarray) -> Iterator[np.ndarray]:
-    """``row``, then each row derived from it, down to a single segment.
+def _rows(o: Originator) -> Iterator[np.ndarray]:
+    """Rows 1..n-1 of the circuit of ``o``, each derived from the one before.
 
-    Rows ping-pong between ``row`` and one spare buffer, so a yielded row is
-    overwritten once the row after next is derived.
+    Rows ping-pong between two buffers, so a yielded row is overwritten once
+    the row after next is derived.
     """
-    spare = np.empty(max(row.size - 1, 0), dtype=row.dtype)
+    row = _abs_diff_checked(o.terms)
+    spare = np.empty(row.size - 1, dtype=row.dtype)
     yield row
     while row.size > 1:
         row, spare = _derive_into(row, spare[: row.size - 1]), row
         yield row
-
-
-def _rows(o: Originator) -> Iterator[np.ndarray]:
-    """Rows 1..n-1 of the circuit of ``o``, streamed as by ``_rows_from``."""
-    return _rows_from(_abs_diff_checked(o.terms))
 
 
 def _require_segment(s: int, hi: int) -> None:

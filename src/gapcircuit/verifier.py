@@ -14,17 +14,18 @@ terms as consecutive int64 windows: a held originator is the single window
 Row 1 is derived in one place, a chunk per window with the overflow-checked
 difference, each chunk starting from the last term of the window before.
 The naive sweep (``verify_naive`` is the driver with the scan off, and the
-scan falls back to it) calls ``read()`` a second time and joins row 1.  It
-streams full-width int64 rows through two buffers, so memory stays O(n),
-and it refuses triangles of more than ``SWEEP_CELL_LIMIT`` cells before the
-second read.  The frontier scan works on one column tile at a time.  Entry
-j of row k depends only on entries j..j+k-1 of row 1, so a tile with a halo
-of D = min(scan_depth, n - 1) extra columns can be derived through row D by
-itself.  A tile is scanned as soon as its columns and its halo have
-arrived, so the scan never needs all of row 1 at once.  The columns that
-wait for their tile are queued chunk by chunk, each chunk narrowed to the
-dtype of its own maximum (after the check of the first leader, so a run
-that fails at row 1 skips it), so they take a byte or two each, not eight.
+scan falls back to it) refuses triangles of more than ``SWEEP_CELL_LIMIT``
+cells, then calls ``read()`` a second time and runs the same scan over that
+row 1 with the certificate off: one tile of every column, which checks its
+leader every row down to the last, so memory stays O(n).  The frontier
+scan works on one column tile at a time.  Entry j of row k depends only on
+entries j..j+k-1 of row 1, so a tile with a halo of D = min(scan_depth,
+n - 1) extra columns can be derived through row D by itself.  A tile is
+scanned as soon as its columns and its halo have arrived, so the scan
+never needs all of row 1 at once.  The columns that wait for their tile
+are queued chunk by chunk, each chunk narrowed to the dtype of its own
+maximum (after the check of the first leader, so a run that fails at row
+1 skips it), so they take a byte or two each, not eight.
 
 Each tile starts in the narrowest signed dtype that holds the maximum of its
 own row-1 columns, halo included: entries are nonnegative and
@@ -60,7 +61,7 @@ from .originator import (
     dump_sequence,
     random_generalized,
 )
-from .triangle import SWEEP_CELL_LIMIT, _abs_diff_checked, _derive_into, _rows_from, _triangle_cells
+from .triangle import SWEEP_CELL_LIMIT, _abs_diff_checked, _derive_into, _triangle_cells
 
 DEFAULT_SCAN_DEPTH = 500
 
@@ -118,19 +119,6 @@ class VerifyReport:
         return payload
 
 
-def _sweep(row: np.ndarray) -> tuple[tuple[int, int] | None, int]:
-    """Derive every row from row 1 at full width, checking each leader.
-
-    Returns ``(first_failure, max_order_checked)``.  ``row`` is used as one
-    of the two ping-pong buffers and is overwritten.
-    """
-    for k, derived in enumerate(_rows_from(row), start=1):
-        leader = int(derived[0])
-        if leader != 1:
-            return (k, leader), k - 1
-    return None, row.size
-
-
 # The signed dtypes narrower than int64, each with its largest value.
 _NARROW_DTYPES = tuple((int(np.iinfo(t).max), np.dtype(t)) for t in (np.int8, np.int16, np.int32))
 _INT64 = np.dtype(np.int64)
@@ -154,7 +142,7 @@ def _zeros_and_twos(values: np.ndarray) -> bool:
 
 
 def _scan_tiles(
-    chunks: Iterator[np.ndarray], depth: int
+    chunks: Iterator[np.ndarray], depth: int, certify: bool = True
 ) -> tuple[tuple[int, int] | None, int | None] | None:
     """The frontier scan of rows 1..depth over row 1 read in chunks, tile by tile.
 
@@ -165,13 +153,18 @@ def _scan_tiles(
     leader other than 1 met before the certificate, ``(None,
     stabilization_row)`` for a certificate, and None when some tile is not
     all 0s and 2s by row ``depth``.
+
+    With ``certify`` off it is the naive sweep, for ``depth`` n - 1: one
+    tile of all of row 1 checks its leader down to the last row, and the
+    scan returns ``(first_failure, None)`` after it.
     """
+    columns = TILE_COLUMNS if certify else 0  # the naive tile is all halo
     certificate = 1
     pending = np.empty(0, dtype=np.int64)  # row 1 from column lo on
     lo = 0
     ended = False
     while True:
-        while not ended and pending.size < TILE_COLUMNS + depth:
+        while not ended and pending.size < columns + depth:
             chunk = next(chunks, None)
             if chunk is None:
                 ended = True
@@ -184,7 +177,7 @@ def _scan_tiles(
                 del chunk  # dropped before the next chunk is read
         if pending.size == 0:
             return None, certificate
-        tile = pending[: TILE_COLUMNS + depth]
+        tile = pending[: columns + depth]
         cur = tile.astype(_narrowest_dtype(int(tile.max())))
         nxt = np.empty_like(cur)
         # Tile 0 holds the leader, which the certificate shape excludes.
@@ -197,7 +190,11 @@ def _scan_tiles(
             # every row from the certificate row found so far, and once it has
             # run out of columns.  Below that row it is checked every
             # SETTLE_EVERY rows: settled there, it cannot raise the certificate.
-            checked = k >= certificate or cur.size == 0 or k % SETTLE_EVERY == 0
+            # The naive tile is checked only once its tail is empty.
+            if certify:
+                checked = k >= certificate or cur.size == 0 or k % SETTLE_EVERY == 0
+            else:
+                checked = cur.size == 1
             if checked and _zeros_and_twos(cur[region_start:]):
                 certificate = max(certificate, k)
                 break
@@ -210,6 +207,8 @@ def _scan_tiles(
                     nxt = np.empty_like(cur)
             cur, nxt = _derive_into(cur, nxt[: cur.size - 1]), cur
             k += 1
+        if not certify:
+            return None, None
         pending = pending[TILE_COLUMNS:]
         lo += TILE_COLUMNS
 
@@ -255,7 +254,8 @@ def _verify(
     The frontier scan runs over row 1 as the windows arrive; with
     ``scan_depth`` None it is off.  Without a certificate or a failure from
     the scan, ``read()`` is called a second time, after the sweep guard, and
-    its row 1 is joined for the naive sweep.
+    its row 1 goes through the scan again with the certificate off: the
+    naive sweep.
     """
     start = time.perf_counter()
     windows = read()  # before the depth check, so a bad source is named first
@@ -275,17 +275,13 @@ def _verify(
             "of {limit}; use --method frontier with a larger --scan-depth"
         )
         _triangle_cells(n, SWEEP_CELL_LIMIT, refusal)  # before the terms are read again
-        row = np.concatenate(list(_row1_chunks(read(), [0])))
-        first_failure, max_checked = _sweep(row)
-        stabilization_row = None
-    else:
-        first_failure, stabilization_row = found
-        max_checked = first_failure[0] - 1 if first_failure else n - 1
+        found = _scan_tiles(_row1_chunks(read(), [0]), n - 1, certify=False)
+    first_failure, stabilization_row = found
     return VerifyReport(
         n=n,
         method="frontier" if stabilization_row is not None else "naive",
         all_ones=first_failure is None,
-        max_order_checked=max_checked,
+        max_order_checked=first_failure[0] - 1 if first_failure else n - 1,
         first_failure=first_failure,
         stabilization_row=stabilization_row,
         elapsed=time.perf_counter() - start,

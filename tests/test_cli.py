@@ -912,6 +912,29 @@ class TestCliOutputsPinned:
         assert got == (expected["stdout"], expected["stderr"], expected["exit"])
 
 
+class TestWalkBudget:
+    """A random walk is held whole, so its 8 bytes a term must fit the sieve budget."""
+
+    @pytest.mark.parametrize("command", ["triangle", "stats", "check", "verify", "search"])
+    def test_oversized_walk_refused(self, capsys, monkeypatch, command):
+        monkeypatch.delenv("GAPCIRCUIT_SIEVE_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, command, "--n", "100000000000", "--gmax", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a walk of 100000000000 terms needs 800000000000 bytes, over the budget "
+            f"of {sieve.DEFAULT_BUDGET_BYTES} bytes (raise GAPCIRCUIT_SIEVE_BUDGET to allow this)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["triangle", "stats", "check", "verify", "search"])
+    def test_budget_admits_a_walk_of_its_size(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("GAPCIRCUIT_SIEVE_BUDGET", "64")
+        code, out, err = run_cli(capsys, command, "--n", "8", "--gmax", "4")
+        assert code in (0, 1) and out and not err
+        code, out, err = run_cli(capsys, command, "--n", "9", "--gmax", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a walk of 9 terms needs 72 bytes, over the budget of 64 bytes")
+
+
 class TestSearchCommand:
     def test_deterministic_output(self, capsys):
         args = ("search", "--n", "100", "--gmax", "6", "--trials", "100", "--seed", "7")

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,22 @@ class TestRandomGeneralized:
         huge = RandomModel(2**62 + 2, 4, 1)
         with pytest.raises(Int64OverflowError):
             random_generalized(huge)
+
+    @pytest.mark.parametrize("n, budget", [(10**6, "64"), (10**11, None)])
+    def test_budget_refused_before_allocating(self, monkeypatch, n, budget):
+        # 10^6 terms would take 16 MB at the peak of the draw
+        if budget is None:
+            monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(BUDGET_ENV_VAR, budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SieveBudgetError, match=f"^a walk of {n} terms needs {8 * n} bytes"):
+                random_generalized(RandomModel(n, 2, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 

@@ -582,6 +582,57 @@ class TestMixedWidthQueue:
         assert verifier._narrowest_dtype(bound) == np.dtype(dtype)
 
 
+def _oracle_naive(terms):
+    """The naive report on ``terms``, as ``to_json_dict(timing=False)``, from the oracle."""
+    all_ones, failure = oracle.leading_ones(terms)
+    return {
+        "n": len(terms),
+        "method": "naive",
+        "all_ones": all_ones,
+        "max_order_checked": failure[0] - 1 if failure else len(terms) - 1,
+        "first_failure": list(failure) if failure else None,
+        "stabilization_row": None,
+    }
+
+
+class TestNaiveSweep:
+    """The naive sweep is the tile scan with the certificate off: one tile, every row."""
+
+    @pytest.mark.parametrize("tile", [1, 3, verifier.TILE_COLUMNS])
+    def test_every_row_derived(self, monkeypatch, tile):
+        # one tile of all n - 1 columns, whatever TILE_COLUMNS is, derived down
+        # to its last row: no certificate cuts the sweep short
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", tile)
+        calls = []
+        original = verifier._derive_into
+
+        def counting(row, out):
+            calls.append(row.size)
+            return original(row, out)
+
+        monkeypatch.setattr(verifier, "_derive_into", counting)
+        for n in (2, 3, 10, 300):
+            calls.clear()
+            terms = list(first_n_primes(n))
+            assert verify_naive(Originator(terms)).to_json_dict(timing=False) == _oracle_naive(terms)
+            assert calls == list(range(n - 1, 1, -1))
+
+    @pytest.mark.parametrize("tile", range(1, 8))
+    @pytest.mark.parametrize("peak", [None, *DTYPE_EDGES])
+    def test_held_and_streamed_against_the_oracle(self, monkeypatch, tile, peak):
+        # row 1 peaks on either side of each dtype edge, or at an int64
+        # spike; the streamed run at depth 1 finds no certificate and falls
+        # back to the sweep over windows of every size from 1 to 7
+        monkeypatch.setattr(verifier, "TILE_COLUMNS", tile)
+        terms = list(first_n_primes(400)) if peak is None else _with_row1_max(peak)
+        expected = _oracle_naive(terms)
+        assert verify_naive(Originator(terms)).to_json_dict(timing=False) == expected
+        for size in range(1, 8):
+            read = _Reader(partial(_cut, terms, (size,)))
+            assert verifier.verify_frontier_windows(read, 1).to_json_dict(timing=False) == expected
+            assert read.calls == 2
+
+
 class TestStreamedMemory:
     def test_peak_of_a_streamed_run(self):
         # the stream holds one window's flags (1 MiB), a few int64 pieces of

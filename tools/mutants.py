@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 SIEVE_TESTS = ("tests/test_sieve.py",)
 VERIFIER_TESTS = ("tests/test_verifier.py",)
+TRIANGLE_TESTS = ("tests/test_triangle.py",)
 
 MUTANTS = (
     Mutant(
@@ -100,6 +101,55 @@ MUTANTS = (
         " or k % SETTLE_EVERY == 0\n",
         "\n",
         VERIFIER_TESTS,
+    ),
+    Mutant(
+        "the naive mode still certifies",
+        "src/gapcircuit/verifier.py",
+        "checked = cur.size == 1",
+        "checked = True",
+        VERIFIER_TESTS,
+    ),
+    Mutant(
+        "the naive tile stops one row early",
+        "src/gapcircuit/verifier.py",
+        "checked = cur.size == 1",
+        "checked = cur.size == 2",
+        VERIFIER_TESTS,
+    ),
+    Mutant(
+        "the naive scan goes on past its one tile",
+        "src/gapcircuit/verifier.py",
+        "        if not certify:\n            return None, None\n",
+        "",
+        VERIFIER_TESTS,
+    ),
+    Mutant(
+        "less for less_equal in the block's narrowing flag",
+        "src/gapcircuit/triangle.py",
+        "np.less_equal(block[1:, :-1], block[:-1, 1:], out=pairs)",
+        "np.less(block[1:, :-1], block[:-1, 1:], out=pairs)",
+        TRIANGLE_TESTS,
+    ),
+    Mutant(
+        "less_equal for less in the column-minimum update",
+        "src/gapcircuit/triangle.py",
+        "improved = np.less(least, column_minima[:width]",
+        "improved = np.less_equal(least, column_minima[:width]",
+        TRIANGLE_TESTS,
+    ),
+    Mutant(
+        "the last entry read for the second-to-last",
+        "src/gapcircuit/triangle.py",
+        "second_lasts += block[:, -2::-1].diagonal()",
+        "second_lasts += block[:, ::-1].diagonal()",
+        TRIANGLE_TESTS,
+    ),
+    Mutant(
+        "column argmins counted from 0",
+        "src/gapcircuit/triangle.py",
+        "reached[:, cols].argmax(axis=0) + k",
+        "reached[:, cols].argmax(axis=0) + k - 1",
+        TRIANGLE_TESTS,
     ),
 )
 
