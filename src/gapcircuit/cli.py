@@ -29,6 +29,7 @@ from .bounds import BoundReport, _check_columns, _Columns, _column_counts, _stat
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps them by
 # their names in this module.
 from .bounds import run_all_checks, summarize  # noqa: F401
+from .verifier import verify_frontier  # noqa: F401
 from .errors import GapCircuitError, UsageError
 from .originator import (
     Originator,
@@ -51,10 +52,9 @@ from .triangle import (
 from .verifier import (
     DEFAULT_SCAN_DEPTH,
     VerifyReport,
+    _sweep_cells,
     search_counterexamples,
-    verify_frontier,
     verify_frontier_windows,
-    verify_naive,
 )
 
 DEFAULT_TRIANGLE_CAP = 10_000
@@ -323,8 +323,12 @@ def _spelled(value, none: str):
     return _SCALARS[bool](value) if isinstance(value, bool) else value
 
 
-def _input_source(args: argparse.Namespace) -> str:
-    """The one input source given: "primes", "limit", "file" or "n"."""
+def _input_source(args: argparse.Namespace, limit: Callable[[int], object] | None = None) -> str:
+    """The one input source given: "primes", "limit", "file" or "n".
+
+    ``limit``, which raises for a count of terms over the command's limit,
+    checks ``--primes N`` for N >= 2 here, before a prime is sieved.
+    """
     chosen = [name for name in ("primes", "limit", "file", "n") if getattr(args, name) is not None]
     if (args.n is None) != (args.gmax is None):
         raise UsageError("--n and --gmax must be given together")
@@ -332,11 +336,15 @@ def _input_source(args: argparse.Namespace) -> str:
         raise UsageError(
             "choose exactly one input source: --primes, --limit, --file, or --n/--gmax"
         )
+    if limit and chosen == ["primes"] and args.primes > 1:
+        limit(args.primes)
     return chosen[0]
 
 
-def _resolve_originator(args: argparse.Namespace) -> Originator:
-    source = _input_source(args)
+def _resolve_originator(
+    args: argparse.Namespace, limit: Callable[[int], object] | None = None
+) -> Originator:
+    source = _input_source(args, limit)
     if source == "primes":
         return first_n_primes(args.primes)
     if source == "limit":
@@ -354,11 +362,13 @@ def _require_two_terms(o: Originator) -> None:
         raise UsageError(f"a triangle needs at least two terms, got {o.n}")
 
 
-def _streamed_circuit(o: Originator) -> _StreamedCircuit:
-    """The circuit of ``o`` as streamed rows, refused above ``SWEEP_CELL_LIMIT`` cells."""
-    _require_two_terms(o)
+def _streamed_circuit(args: argparse.Namespace) -> _StreamedCircuit:
+    """The input's circuit as streamed rows, refused above ``SWEEP_CELL_LIMIT`` cells."""
     refusal = "the triangle of {n} terms would derive {cells} cells, over the limit of {limit}"
-    _triangle_cells(o.n, SWEEP_CELL_LIMIT, refusal)
+    cells = partial(_triangle_cells, limit=SWEEP_CELL_LIMIT, refusal=refusal)
+    o = _resolve_originator(args, cells)
+    _require_two_terms(o)
+    cells(o.n)
     return _StreamedCircuit(o)
 
 
@@ -373,12 +383,15 @@ def _triangle_text(c) -> Iterator[str]:
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:
-    o = _resolve_originator(args)
+    def capped(n: int) -> None:
+        if n > args.cap:
+            raise UsageError(
+                f"{n} terms exceeds the triangle cap of {args.cap}; raise it with --cap"
+            )
+
+    o = _resolve_originator(args, capped)
     _require_two_terms(o)
-    if o.n > args.cap:
-        raise UsageError(
-            f"{o.n} terms exceeds the triangle cap of {args.cap}; raise it with --cap"
-        )
+    capped(o.n)
     c = build_circuit(o)
     # JSON and CSV read the one stream of rows, each row listed as it is written.
     rows = (c.row(k).tolist() for k in range(1, c.n))
@@ -403,7 +416,7 @@ def _stats_text(payload: dict) -> Iterator[str]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    c = _streamed_circuit(_resolve_originator(args))
+    c = _streamed_circuit(args)
     # Read in this order, so that an input that overflows several of them
     # names "path length" in its error.
     iotas = path_lengths(c)
@@ -424,7 +437,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     # Every value, status and count is computed here, before a byte is
     # written; every format is written from the checks' columns, at most
     # JSON_BATCH_CHUNKS reports a write, and no report is made.
-    c = _streamed_circuit(_resolve_originator(args))
+    c = _streamed_circuit(args)
     records = _check_columns(c)
     if args.format == "text":
         # Only text reads the status columns again, after they are counted.
@@ -440,17 +453,18 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _verify(args: argparse.Namespace) -> VerifyReport:
-    if args.method == "naive":
-        return verify_naive(_resolve_originator(args))
-    # Sieved primes are scanned one window at a time, never held all at once.
-    source = _input_source(args)
+    naive = args.method == "naive"
+    # Sieved primes are read one window at a time by either method, never held
+    # all at once.
+    source = _input_source(args, _sweep_cells if naive else None)
     if source == "primes":
         read = partial(sieve.first_n_prime_windows, args.primes)
     elif source == "limit":
         read = partial(sieve.prime_windows, args.limit)
     else:
-        return verify_frontier(_resolve_originator(args), args.scan_depth)
-    return verify_frontier_windows(read, args.scan_depth)
+        o = _resolve_originator(args)
+        read = lambda: (o.terms,)  # noqa: E731  (a held originator is one window)
+    return verify_frontier_windows(read, None if naive else args.scan_depth)
 
 
 def _verify_csv(payload: dict) -> Iterator[list]:

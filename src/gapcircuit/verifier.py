@@ -8,13 +8,14 @@ such a row on, every later row must again start with 1, because absolute
 differences keep {0, 2} values inside {0, 2} and |x - 1| = 1 for x in
 {0, 2}.  That certificate lets it skip the remaining rows entirely.
 
-Every entry point is one driver over ``read``, a callable that returns the
-terms as consecutive int64 windows: a held originator is the single window
-``(o.terms,)``, and ``verify --primes/--limit`` reads the sieve's windows.
+Every entry point is ``verify_frontier_windows`` over ``read``, a callable
+that returns the terms as consecutive int64 windows: a held originator is
+the single window ``(o.terms,)``, and ``verify --primes/--limit`` reads the
+sieve's windows under either method.
 Row 1 is derived in one place, a chunk per window with the overflow-checked
 difference, each chunk starting from the last term of the window before.
-The naive sweep (``verify_naive`` is the driver with the scan off, and the
-scan falls back to it) refuses triangles of more than ``SWEEP_CELL_LIMIT``
+The naive sweep (``scan_depth`` None, and the scan falls back to it)
+refuses triangles of more than ``SWEEP_CELL_LIMIT``
 cells, then calls ``read()`` a second time and runs the same scan over that
 row 1 with the certificate off: one tile of every column, which checks its
 leader every row down to the last, so memory stays O(n).  The frontier
@@ -24,22 +25,21 @@ n - 1) extra columns can be derived through row D by itself.  A tile is
 scanned as soon as its columns and its halo have arrived, so the scan
 never needs all of row 1 at once.  The columns that wait for their tile
 are queued chunk by chunk, each chunk narrowed to the dtype of its own
-maximum (after the check of the first leader, so a run that fails at row
-1 skips it), so they take a byte or two each, not eight.
+maximum, so they take a byte or two each, not eight.
 
 Each tile starts in the narrowest signed dtype that holds the maximum of its
 own row-1 columns, halo included: entries are nonnegative and
-|x - y| <= max(x, y), so no later row of the tile exceeds that bound.  The
-same bound applied to a derived row lets a tile wider than int8 narrow again
-once the row's maximum allows it, which is checked every ``NARROW_EVERY``
-rows.  Once a tile's region is all 0s and 2s it stays so (one column
+|x - y| <= max(x, y), so no later row of the tile exceeds that bound.  Once
+a tile's region is all 0s and 2s it stays so (one column
 shorter per row), so every tile has a first such row, and the first row
-whose whole tail is in {0, 2} is the largest of these.  So a tile is
-checked every row from the largest first row found so far, the running
+whose whole tail is in {0, 2} is the largest of these.  So a tile reads its
+row maximum every row from the largest first row found so far, the running
 certificate, and every ``SETTLE_EVERY`` rows below it: a tile settled below
-the certificate cannot raise it, and stops there.  Tile 0 also carries
-the leaders, and a leader other than 1 there ends the scan; its running
-certificate is row 1, so it is checked every row.  A tile still
+the certificate cannot raise it, and stops there.  The same maximum lets an
+unsettled tile narrow again to the dtype that holds it (the naive tile reads
+it every ``SETTLE_EVERY`` rows only for this).  Tile 0 also carries the
+leaders, and a leader other than 1 there, row 1's included, ends the scan;
+its running certificate is row 1, so it is checked every row.  A tile still
 unsettled at row D means no row within the scan depth has the certificate
 shape, so the run falls back to the naive sweep over the whole originator.
 """
@@ -69,12 +69,10 @@ DEFAULT_SCAN_DEPTH = 500
 # buffers take 1 MB, which a core's 2 MB L2 cache holds.
 TILE_COLUMNS = 1 << 17
 
-# Rows between two checks of whether a tile's current row fits a narrower
-# dtype.  Each check reads the row once, about half the cost of a derivation.
-NARROW_EVERY = 4
-
-# Rows between two checks of whether a tile below the running certificate has
-# settled, which stops it early.  A failed check reads the row once.
+# Rows between two reads of a tile's row maximum below the running
+# certificate.  The maximum tells whether the tile has settled, which stops
+# it early, and else whether its row fits a narrower dtype.  A read costs
+# about half a derivation.
 SETTLE_EVERY = 8
 
 # How many failing sequences a search report keeps for replay.
@@ -132,15 +130,6 @@ def _narrowest_dtype(bound: int) -> np.dtype:
     return _INT64
 
 
-def _zeros_and_twos(values: np.ndarray) -> bool:
-    """Whether every (nonnegative) value is 0 or 2; true when empty."""
-    if values.size == 0:
-        return True
-    if values.max() > 2:
-        return False
-    return not (values == 1).any()
-
-
 def _scan_tiles(
     chunks: Iterator[np.ndarray], depth: int, certify: bool = True
 ) -> tuple[tuple[int, int] | None, int | None] | None:
@@ -168,8 +157,6 @@ def _scan_tiles(
             chunk = next(chunks, None)
             if chunk is None:
                 ended = True
-            elif lo == 0 and pending.size == 0 and chunk.size and chunk[0] != 1:
-                return (1, int(chunk[0])), None  # a bad first leader needs no tile
             else:
                 # Queued as narrow as its own maximum allows; the tile narrows again.
                 chunk = chunk.astype(_narrowest_dtype(int(chunk.max())), copy=False)
@@ -186,31 +173,42 @@ def _scan_tiles(
         while True:
             if lo == 0 and cur[0] != 1:
                 return (k, int(cur[0])), None
-            # Only the largest first-stable row matters, so a tile is checked
-            # every row from the certificate row found so far, and once it has
-            # run out of columns.  Below that row it is checked every
-            # SETTLE_EVERY rows: settled there, it cannot raise the certificate.
-            # The naive tile is checked only once its tail is empty.
-            if certify:
-                checked = k >= certificate or cur.size == 0 or k % SETTLE_EVERY == 0
-            else:
-                checked = cur.size == 1
-            if checked and _zeros_and_twos(cur[region_start:]):
+            # A tile whose region has run out of columns has settled.  Only
+            # the largest first-stable row matters, so a tile is checked every
+            # row from the certificate row found so far, and below it every
+            # SETTLE_EVERY rows: settled there, it cannot raise the
+            # certificate.  The naive tile settles only once its region is
+            # empty, and reads its maximum every SETTLE_EVERY rows to narrow.
+            settled = cur.size <= region_start
+            if not settled and (k % SETTLE_EVERY == 0 or (certify and k >= certificate)):
+                # Entries are nonnegative: the region is all 0s and 2s when
+                # the row's maximum is at most 2 and the region holds no 1.
+                top = int(cur.max())
+                settled = certify and top <= 2 and not (cur[region_start:] == 1).any()
+                dtype = _narrowest_dtype(top)
+                if not settled and dtype != cur.dtype:
+                    cur = cur.astype(dtype)
+                    nxt = np.empty_like(cur)
+            if settled:
                 certificate = max(certificate, k)
                 break
             if k == depth:
                 return None
-            if k % NARROW_EVERY == 0 and cur.dtype != np.int8:
-                dtype = _narrowest_dtype(int(cur.max()))
-                if dtype != cur.dtype:
-                    cur = cur.astype(dtype)
-                    nxt = np.empty_like(cur)
             cur, nxt = _derive_into(cur, nxt[: cur.size - 1]), cur
             k += 1
         if not certify:
             return None, None
         pending = pending[TILE_COLUMNS:]
         lo += TILE_COLUMNS
+
+
+def _sweep_cells(n: int) -> int:
+    """The cells of the naive sweep of n terms, or ``RangeError`` above ``SWEEP_CELL_LIMIT``."""
+    refusal = (
+        "the naive sweep of {n} terms would derive {cells} cells, over the limit "
+        "of {limit}; use --method frontier with a larger --scan-depth"
+    )
+    return _triangle_cells(n, SWEEP_CELL_LIMIT, refusal)
 
 
 def _row1_chunk(last: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -246,16 +244,20 @@ def _row1_chunks(windows: Iterable[np.ndarray], terms_read: list[int]) -> Iterat
         del terms  # dropped before the next window is read
 
 
-def _verify(
-    read: Callable[[], Iterable[np.ndarray]], scan_depth: int | None
+def verify_frontier_windows(
+    read: Callable[[], Iterable[np.ndarray]], scan_depth: int | None = DEFAULT_SCAN_DEPTH
 ) -> VerifyReport:
-    """Verify the terms ``read()`` returns as consecutive int64 windows.
+    """``verify_frontier`` on terms read one window at a time.
 
-    The frontier scan runs over row 1 as the windows arrive; with
-    ``scan_depth`` None it is off.  Without a certificate or a failure from
-    the scan, ``read()`` is called a second time, after the sweep guard, and
-    its row 1 goes through the scan again with the certificate off: the
-    naive sweep.
+    ``read()`` returns the terms in order, as int64 arrays of any sizes; the
+    scan holds the current window, the row-1 columns not yet scanned and one
+    tile, never the whole originator.  With ``scan_depth`` None the scan is
+    off and the run is the naive sweep.  Without a certificate or a failure
+    from the scan, ``read()`` is called a second time, after the sweep's
+    cell limit, and must then return the same terms; their row 1 goes
+    through the scan again with the certificate off.  The report is
+    ``verify_frontier``'s (``verify_naive``'s for None) on the whole
+    originator, except that ``elapsed`` includes reading the windows.
     """
     start = time.perf_counter()
     windows = read()  # before the depth check, so a bad source is named first
@@ -270,11 +272,7 @@ def _verify(
     if n < 2:
         raise RangeError(f"verification needs at least two terms, got {n}")
     if found is None:
-        refusal = (
-            "the naive sweep of {n} terms would derive {cells} cells, over the limit "
-            "of {limit}; use --method frontier with a larger --scan-depth"
-        )
-        _triangle_cells(n, SWEEP_CELL_LIMIT, refusal)  # before the terms are read again
+        _sweep_cells(n)  # before the terms are read again
         found = _scan_tiles(_row1_chunks(read(), [0]), n - 1, certify=False)
     first_failure, stabilization_row = found
     return VerifyReport(
@@ -290,7 +288,7 @@ def _verify(
 
 def verify_naive(o: Originator) -> VerifyReport:
     """Derive every row and check each leading segment directly."""
-    return _verify(lambda: (o.terms,), None)
+    return verify_frontier_windows(lambda: (o.terms,), None)
 
 
 def verify_frontier(o: Originator, scan_depth: int = DEFAULT_SCAN_DEPTH) -> VerifyReport:
@@ -302,22 +300,7 @@ def verify_frontier(o: Originator, scan_depth: int = DEFAULT_SCAN_DEPTH) -> Veri
     the run degrades to the naive sweep and the report says so in
     ``method``.
     """
-    return _verify(lambda: (o.terms,), scan_depth)
-
-
-def verify_frontier_windows(
-    read: Callable[[], Iterable[np.ndarray]], scan_depth: int = DEFAULT_SCAN_DEPTH
-) -> VerifyReport:
-    """``verify_frontier`` on terms read one window at a time.
-
-    ``read()`` returns the terms in order, as int64 arrays of any sizes; the
-    scan holds the current window, the row-1 columns not yet scanned and one
-    tile, never the whole originator.  ``read`` is called a second time only
-    when the scan falls back to the naive sweep, and must then return the
-    same terms.  The report is ``verify_frontier``'s on the whole
-    originator, except that ``elapsed`` includes reading the windows.
-    """
-    return _verify(read, scan_depth)
+    return verify_frontier_windows(lambda: (o.terms,), scan_depth)
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,43 @@ class TestDerivationLimit:
         )
 
 
+class TestCountRefusedBeforeSieving:
+    """``--primes N`` meets the command's limit on N before a prime is sieved."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["stats", "--primes", "200000"],
+                "the triangle of 200000 terms would derive 19999900000 cells, over the "
+                "limit of 17179869184",
+            ),
+            (
+                ["check", "--primes", "200000"],
+                "the triangle of 200000 terms would derive 19999900000 cells, over the "
+                "limit of 17179869184",
+            ),
+            (
+                ["verify", "--primes", "200000", "--method", "naive"],
+                "the naive sweep of 200000 terms would derive 19999900000 cells, over the "
+                "limit of 17179869184; use --method frontier with a larger --scan-depth",
+            ),
+            (
+                ["triangle", "--primes", "20000"],
+                "20000 terms exceeds the triangle cap of 10000; raise it with --cap",
+            ),
+        ],
+        ids=["stats", "check", "verify", "triangle"],
+    )
+    def test_refused_unsieved(self, capsys, monkeypatch, argv, message):
+        def sieved(*args):
+            raise AssertionError("primes sieved")
+
+        for name in ("_windows", "prime_windows", "first_n_prime_windows"):
+            monkeypatch.setattr(sieve, name, sieved)
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestClosedStdout:
     """A reader that stops early ends the command quietly, with exit code 141."""
 
@@ -780,6 +817,34 @@ class TestStreamedVerify:
             assert code == 0
             payload = json.loads(out)
             assert payload["n"] == n and payload["method"] == "frontier"
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [(["--primes", "100000"], 100000), (["--limit", "1000000"], 78498)],
+        ids=["primes", "limit"],
+    )
+    def test_naive_never_holds_the_primes(self, capsys, monkeypatch, argv, n):
+        monkeypatch.setattr(sieve, "first_n_primes_array", _refuse)
+        monkeypatch.setattr(sieve, "primes_up_to_array", _refuse)
+        code, out, err = run_cli(capsys, "verify", *argv, "--method", "naive")
+        assert (code, err) == (0, "")
+        assert out == (
+            f'{{\n  "n": {n},\n  "method": "naive",\n  "all_ones": true,\n'
+            f'  "max_order_checked": {n - 1},\n  "first_failure": null,\n'
+            '  "stabilization_row": null\n}\n'
+        )
+
+    def test_naive_refused_after_counting_a_window_at_a_time(self, capsys):
+        # 664 579 primes would take 5 MB held, and their row 1 as much again
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--limit", "10000000", "--method", "naive"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "naive sweep of 664579 terms" in capsys.readouterr().err
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 from functools import partial
@@ -225,25 +226,33 @@ class TestTiledFrontier:
         monkeypatch.setattr(verifier, "TILE_COLUMNS", 64)
         primes = list(first_n_primes(1000))
         terms = primes[:100] + [p + 60 for p in primes[100:]]
-        settled = []
-        original = verifier._zeros_and_twos
+        assert _differential(terms).stabilization_row == 49
+        derived = []  # the size of every row derived, tile after tile
+        original = verifier._derive_into
 
-        def recording(values):
-            if original(values):
-                settled.append(values.size)
-                return True
-            return False
+        def recording(row, out):
+            derived.append(row.size - 1)
+            return original(row, out)
 
-        monkeypatch.setattr(verifier, "_zeros_and_twos", recording)
-        r = _differential(terms)
-        assert r.stabilization_row == 49
-        # a tile's region at row k is k - 1 columns short of its row 1, and
-        # tile 0's region leaves out the leader
+        monkeypatch.setattr(verifier, "_derive_into", recording)
+        assert verify_frontier(Originator(terms)).stabilization_row == 49
+        # a tile's row k is k - 1 columns short of its row 1, so each tile's
+        # derived rows run down by one from its width less one
         widths = [min(64 + 500, 999 - lo) for lo in range(0, 999, 64)]
-        rows = [w - size + (t > 0) for t, (w, size) in enumerate(zip(widths, settled))]
-        assert len(rows) == len(widths) and rows[0] == 49
-        # a tile whose region has run out of columns stops at any row
-        early = [k for k, size in zip(rows[1:], settled[1:]) if k < 49 and size]
+        rows, at = [], 0
+        for w in widths:
+            k = 1
+            while at < len(derived) and derived[at] == w - k:
+                at, k = at + 1, k + 1
+            rows.append(k)
+        assert at == len(derived)
+        # the region a tile stops on; tile 0's leaves out the leader
+        settled = [w - k + 1 - (t == 0) for t, (w, k) in enumerate(zip(widths, rows))]
+        assert settled == [
+            515, 516, 541, 541, 541, 541, 525, 512, 448, 384, 320, 256, 192, 128, 72, 8
+        ]
+        assert rows == [49, 49, 24, 24, 24, 24, 40, 40, 40, 40, 40, 40, 40, 40, 32, 32]
+        early = [k for k in rows[1:] if k < 49]
         assert early and all(k % verifier.SETTLE_EVERY == 0 for k in early)
         assert _streamed(terms, sizes=(37,))[0].stabilization_row == 49
 
@@ -346,7 +355,7 @@ def _streamed(terms, scan_depth=verifier.DEFAULT_SCAN_DEPTH, sizes=(5,)):
     if got.stabilization_row is not None:
         assert read.calls == 1
     naive = _Reader(read.make)
-    got_naive = verifier._verify(naive, None)
+    got_naive = verifier.verify_frontier_windows(naive, None)
     assert got_naive.to_json_dict(timing=False) == verify_naive(
         Originator(terms)
     ).to_json_dict(timing=False)
@@ -430,7 +439,7 @@ class TestStreamedFrontier:
             verify_frontier(Originator(terms))
         for scan_depth in (None, 1, verifier.DEFAULT_SCAN_DEPTH):
             with pytest.raises(Int64OverflowError) as streamed:
-                verifier._verify(_Reader(lambda: _cut(terms, sizes)), scan_depth)
+                verifier.verify_frontier_windows(_Reader(lambda: _cut(terms, sizes)), scan_depth)
             assert str(streamed.value) == str(held.value)
 
     @pytest.mark.parametrize("sizes", [(1,), (2, 3), (64,)])
@@ -482,16 +491,17 @@ class TestStreamedFrontier:
 
     @pytest.mark.parametrize("target", [127, 128])
     def test_row_maximum_at_a_narrowing_check(self, monkeypatch, target):
-        # one tile; row 1 peaks above int8, and a derived row at a check
-        # holds exactly ``target`` as its largest entry
+        # one tile; row 1 peaks above int8, and a derived row at a check of
+        # the naive tile holds exactly ``target`` as its largest entry (the
+        # frontier's tile 0 reads its maximum every row)
         monkeypatch.setattr(verifier, "TILE_COLUMNS", 1 << 10)
         primes = list(first_n_primes(300))
         found = []
-        for value in range(129, 400):
-            terms = _with_row1_value(primes, 150, value)
+        for column, value in itertools.product((50, 100, 150, 200, 250), range(129, 400)):
+            terms = _with_row1_value(primes, column, value)
             rows = oracle.triangle_rows(terms)
             checks = [
-                k for k in range(verifier.NARROW_EVERY, 60, verifier.NARROW_EVERY)
+                k for k in range(verifier.SETTLE_EVERY, 60, verifier.SETTLE_EVERY)
                 if max(rows[k - 1]) == target
             ]
             if checks and all(max(rows[k - 1]) > 127 for k in range(1, checks[0])):
@@ -682,7 +692,7 @@ class TestSweepGuard:
         for scan_depth in (1, None):
             read = _Reader(partial(sieve.first_n_prime_windows, 100))
             with pytest.raises(RangeError, match="100 terms would derive 4950 cells"):
-                verifier._verify(read, scan_depth)
+                verifier.verify_frontier_windows(read, scan_depth)
             assert read.calls == 1
 
     def test_default_limit(self):

@@ -3,10 +3,10 @@
     python3 tools/mutants.py
 
 Each mutant is one exact text in one file under ``src/`` and its
-replacement.  For each, the script copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, makes the one replacement
-there, and runs the mutant's test selection with ``-x`` and a fixed
-Hypothesis seed, one mutant at a time.  A mutant is killed when the tests
+replacement.  For each, the script copies ``src/``, ``tests/``,
+``pyproject.toml`` and ``README.md`` to a temporary directory, makes the
+one replacement there, and runs the mutant's test selection with ``-x``
+and a fixed Hypothesis seed, one mutant at a time.  A mutant is killed when the tests
 fail.  First the selections run once on the unmutated copy, which must pass
 and import the package from the copy.
 
@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 SIEVE_TESTS = ("tests/test_sieve.py",)
 VERIFIER_TESTS = ("tests/test_verifier.py",)
 TRIANGLE_TESTS = ("tests/test_triangle.py",)
+CLI_TESTS = ("tests/test_cli.py",)
 
 MUTANTS = (
     Mutant(
@@ -91,29 +92,29 @@ MUTANTS = (
     Mutant(
         "tile 0 checked only every SETTLE_EVERY rows",
         "src/gapcircuit/verifier.py",
-        "checked = k >= certificate or",
-        "checked = (k >= certificate and lo > 0) or",
+        "(certify and k >= certificate)",
+        "(certify and k >= certificate and lo > 0)",
         VERIFIER_TESTS,
     ),
     Mutant(
         "no tile stops below the certificate",
         "src/gapcircuit/verifier.py",
-        " or k % SETTLE_EVERY == 0\n",
-        "\n",
+        "k % SETTLE_EVERY == 0 or (",
+        "k % SETTLE_EVERY == 0 and not certify or (",
         VERIFIER_TESTS,
     ),
     Mutant(
         "the naive mode still certifies",
         "src/gapcircuit/verifier.py",
-        "checked = cur.size == 1",
-        "checked = True",
+        "settled = certify and top <= 2",
+        "settled = top <= 2",
         VERIFIER_TESTS,
     ),
     Mutant(
         "the naive tile stops one row early",
         "src/gapcircuit/verifier.py",
-        "checked = cur.size == 1",
-        "checked = cur.size == 2",
+        "settled = cur.size <= region_start",
+        "settled = cur.size <= region_start + (not certify)",
         VERIFIER_TESTS,
     ),
     Mutant(
@@ -122,6 +123,56 @@ MUTANTS = (
         "        if not certify:\n            return None, None\n",
         "",
         VERIFIER_TESTS,
+    ),
+    Mutant(
+        "less for less_equal in the narrowest dtype",
+        "src/gapcircuit/verifier.py",
+        "if bound <= top:",
+        "if bound < top:",
+        VERIFIER_TESTS,
+    ),
+    Mutant(
+        "row-1 chunks queued without narrowing",
+        "src/gapcircuit/verifier.py",
+        "chunk = chunk.astype(_narrowest_dtype(int(chunk.max())), copy=False)",
+        "pass",
+        VERIFIER_TESTS,
+    ),
+    Mutant(
+        "row-1 chunks not carrying the last term",
+        "src/gapcircuit/verifier.py",
+        "last = terms[-1:].copy()",
+        "last = terms[:0]",
+        VERIFIER_TESTS,
+    ),
+    Mutant(
+        "the windows left after the scan not read, so n is undercounted",
+        "src/gapcircuit/verifier.py",
+        "    for _ in chunks:  # read the rest to count the terms and check every difference\n"
+        "        pass\n",
+        "",
+        VERIFIER_TESTS,
+    ),
+    Mutant(
+        "greater_equal for greater in the cell limit",
+        "src/gapcircuit/triangle.py",
+        "if cells > limit:",
+        "if cells >= limit:",
+        VERIFIER_TESTS,
+    ),
+    Mutant(
+        "verify --method naive keeps its scan depth",
+        "src/gapcircuit/cli.py",
+        "None if naive else args.scan_depth",
+        "args.scan_depth",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "--primes N sieved before its count is checked",
+        "src/gapcircuit/cli.py",
+        "        limit(args.primes)\n",
+        "        pass\n",
+        CLI_TESTS,
     ),
     Mutant(
         "less for less_equal in the block's narrowing flag",
@@ -158,7 +209,9 @@ def _copy(into: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for tree in ("src", "tests"):
         shutil.copytree(ROOT / tree, into / tree, ignore=skip)
-    shutil.copy2(ROOT / "pyproject.toml", into)
+    # tests/test_cli.py runs the README's examples.
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, into)
 
 
 def _env(copy: Path) -> dict[str, str]:
