@@ -29,6 +29,7 @@ from .bounds import BoundReport, _check_columns, _Columns, _column_counts, _stat
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps them by
 # their names in this module.
 from .bounds import run_all_checks, summarize  # noqa: F401
+from .triangle import build_circuit  # noqa: F401
 from .verifier import verify_frontier  # noqa: F401
 from .errors import GapCircuitError, UsageError
 from .originator import (
@@ -41,9 +42,9 @@ from .originator import (
 )
 from .triangle import (
     SWEEP_CELL_LIMIT,
+    _rows,
     _StreamedCircuit,
     _triangle_cells,
-    build_circuit,
     circuit_length,
     path_lengths,
     total_maximal_steps,
@@ -159,14 +160,15 @@ def _slices(r: _Columns) -> Iterator[tuple[slice, tuple]]:
 
 
 @cache
-def _stub(shape: tuple) -> tuple[dict, Callable[[str], str]]:
+def _stub(shape: tuple) -> tuple[dict, Callable[[str], tuple[str, tuple[int, ...]]]]:
     """A stub report's JSON dict of ``shape`` (see ``_slices``), and what makes its texts templates.
 
     The stub is a ``BoundReport``, made once per shape, whose name index and
     every other scalar is a distinct marker int.  The function turns a text
     written from the stub into a ``%`` template: each marker becomes ``%d``
     for an int or ``%s`` for a value spelled beforehand, and any other ``%``
-    is escaped.  Its slots come in the order of the text.
+    is escaped.  It also gives the slots' order, in the text, as indices of
+    the columns of ``_columns``: marker m fills column m, counted from 1.
     """
     name, indexed, middle, witnesses, extra = shape
     # Markers all have one number of digits, more than the JSON text of the
@@ -193,24 +195,26 @@ def _stub(shape: tuple) -> tuple[dict, Callable[[str], str]]:
         },
     ).to_json_dict()
 
-    def template(text: str) -> str:
+    def template(text: str) -> tuple[str, tuple[int, ...]]:
         text = text.replace("%", "%%")
+        found = {text.find(str(base + column)): column for column in range(1, len(slots) + 1)}
+        found.pop(-1, None)
         for column, slot in enumerate(slots, start=base + 1):
             text = text.replace(str(column), slot)
-        return text
+        return text, tuple(found[at] for at in sorted(found))
 
     return report, template
 
 
 @cache
-def _report_template(shape: tuple) -> str:
+def _report_template(shape: tuple) -> tuple[str, tuple[int, ...]]:
     """A report's JSON text at depth 2 of ``json.dumps(indent=2)``, as a ``%`` template."""
     report, template = _stub(shape)
     return template(json.dumps(report, indent=2).replace("\n", "\n    "))
 
 
 @cache
-def _row_template(shape: tuple) -> str:
+def _row_template(shape: tuple) -> tuple[str, tuple[int, ...]]:
     """A report's CSV row, as ``csv.writer`` writes it, as a ``%`` template.
 
     The stub's quoting holds for every row: no value filled in holds a comma,
@@ -227,34 +231,32 @@ def _row_template(shape: tuple) -> str:
 
 
 @cache
-def _line_template(shape: tuple) -> str:
-    """A report's text line, its status first, as a ``%`` template."""
+def _line_template(shape: tuple) -> tuple[str, tuple[int, ...]]:
+    """A report's text line, its status (column 0) first, as a ``%`` template."""
     r, template = _stub(shape)
     middle = f" middle={r['middle']}" if "middle" in r else ""
-    return "%-8s " + template(f"{r['name']}: lhs={r['lhs']}{middle} rhs={r['rhs']}\n")
+    text, order = template(f"{r['name']}: lhs={r['lhs']}{middle} rhs={r['rhs']}\n")
+    return "%-8s " + text, (0, *order)
 
 
 # The spelling of each scalar type in a CSV extra cell.
 _CSV_SCALARS = {**_SCALARS, str: lambda value: encode_basestring_ascii(value).replace('"', '""')}
 
 
-def _lead(r: _Columns, rows: slice) -> list[Iterable[int]]:
-    """The index column of ``rows``, where the name takes one, and the lhs column."""
-    return [r.lhs[rows]] if r.indices is None else [r.indices[rows], r.lhs[rows]]
+def _columns(r: _Columns, status: list, rows: slice, shape: tuple, spelling: dict) -> list:
+    """The columns of ``rows``: the status, then those of ``_stub``'s markers, in their order.
 
-
-def _middle(r: _Columns, rows: slice) -> list[list[int]]:
-    """The middle column of ``rows``, where the record has one."""
-    return [] if r.middle is None else [r.middle[rows]]
-
-
-def _outcome(r: _Columns, rows: slice, shape: tuple, spelling: dict) -> list[Iterable]:
-    """The holds, precondition_met, witness-item and extra-scalar columns of ``rows``.
-
-    Booleans and any extra value but an int are spelled by ``spelling``."""
-    _, _, _, witnesses, extra = shape
+    Those are the index, where the name takes one, lhs, rhs, the middle,
+    where the record has one, holds, precondition_met, and the witness and
+    extra items.  Booleans and any extra value but an int are spelled by
+    ``spelling``.
+    """
+    _, indexed, middle, witnesses, extra = shape
     spell = spelling[bool]
-    columns = [map(spell, r.holds[rows]), map(spell, r.precondition_met[rows])]
+    columns = [status[rows], *([r.indices[rows]] if indexed else []), r.lhs[rows], r.rhs[rows]]
+    if middle:
+        columns.append(r.middle[rows])
+    columns += [map(spell, r.holds[rows]), map(spell, r.precondition_met[rows])]
     if witnesses:
         flat = list(chain.from_iterable(chain.from_iterable(r.witnesses[rows])))
         columns += [flat[at :: 2 * witnesses] for at in range(2 * witnesses)]
@@ -268,37 +270,34 @@ def _outcome(r: _Columns, rows: slice, shape: tuple, spelling: dict) -> list[Ite
     return columns
 
 
-def _check_json(records: list[_Columns], summary: dict[str, int]) -> Iterator[str]:
-    """check's JSON, a text per slice of ``_slices``: the bytes of ``_emit_json``
-    on ``{"reports": [...], "summary": summary}`` with each report's JSON dict."""
-    separator = '{\n  "reports": [\n    '
-    for r in records:
-        for rows, shape in _slices(r):
-            outcome = _outcome(r, rows, shape, _SCALARS)
-            columns = [*_lead(r, rows), r.rhs[rows], *_middle(r, rows), *outcome]
-            yield separator + ",\n    ".join(map(_report_template(shape).__mod__, zip(*columns)))
-            separator = ",\n    "
-    # The list is never empty: every circuit gets the two whole-circuit checks.
-    yield '\n  ],\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n"
+def _check_texts(
+    format: str, records: list[_Columns], statuses: list[list[str]], summary: dict[str, int]
+) -> Iterator[str]:
+    """check's output in ``format``: its head, a text per slice of ``_slices``, and its tail.
 
-
-def _check_rows(records: list[_Columns]) -> Iterator[str]:
-    """check's CSV, the header and then a text per slice of ``_slices``."""
-    yield "name,lhs,middle,rhs,holds,precondition_met,witnesses,extra\n"
-    for r in records:
-        for rows, shape in _slices(r):
-            outcome = _outcome(r, rows, shape, _CSV_SCALARS)
-            columns = [*_lead(r, rows), *_middle(r, rows), r.rhs[rows], *outcome]
-            yield "".join(map(_row_template(shape).__mod__, zip(*columns)))
-
-
-def _check_lines(records: list[_Columns], statuses: list[list[str]], summary) -> Iterator[str]:
-    """check's text, a text per slice of ``_slices`` and then the summary line."""
+    A slice fills its shape's template in ``format`` from ``_columns``, in
+    the template's slot order.  The JSON is the bytes of ``_emit_json`` on
+    ``{"reports": [...], "summary": summary}`` with each report's JSON dict.
+    """
+    json_counts = json.dumps(summary, indent=2).replace("\n", "\n  ")
+    text_counts = " ".join(f"{key}={count}" for key, count in summary.items())
+    template, spelling, head, joiner, tail = {
+        # The list is never empty: every circuit gets the two whole-circuit checks.
+        "json": (_report_template, _SCALARS, '{\n  "reports": [\n    ', ",\n    ",
+                 f'\n  ],\n  "summary": {json_counts}\n}}\n'),
+        "csv": (_row_template, _CSV_SCALARS,
+                "name,lhs,middle,rhs,holds,precondition_met,witnesses,extra\n", "", ""),
+        "text": (_line_template, _SCALARS, "", "", f"summary: {text_counts}\n"),
+    }[format]
+    yield head
+    separator = ""
     for r, status in zip(records, statuses):
         for rows, shape in _slices(r):
-            columns = [status[rows], *_lead(r, rows), *_middle(r, rows), r.rhs[rows]]
-            yield "".join(map(_line_template(shape).__mod__, zip(*columns)))
-    yield "summary: " + " ".join(f"{key}={count}" for key, count in summary.items()) + "\n"
+            text, order = template(shape)
+            columns = _columns(r, status, rows, shape, spelling)
+            yield separator + joiner.join(map(text.__mod__, zip(*map(columns.__getitem__, order))))
+            separator = joiner
+    yield tail
 
 
 def _emit(format: str, payload, rows: Iterable[list], lines: Iterable[str]) -> None:
@@ -327,7 +326,8 @@ def _input_source(args: argparse.Namespace, limit: Callable[[int], object] | Non
     """The one input source given: "primes", "limit", "file" or "n".
 
     ``limit``, which raises for a count of terms over the command's limit,
-    checks ``--primes N`` for N >= 2 here, before a prime is sieved.
+    checks ``--primes N`` and ``--n N`` for N >= 2 here, before a prime is
+    sieved or a walk is drawn, and after the walk's own parameters.
     """
     chosen = [name for name in ("primes", "limit", "file", "n") if getattr(args, name) is not None]
     if (args.n is None) != (args.gmax is None):
@@ -336,9 +336,12 @@ def _input_source(args: argparse.Namespace, limit: Callable[[int], object] | Non
         raise UsageError(
             "choose exactly one input source: --primes, --limit, --file, or --n/--gmax"
         )
-    if limit and chosen == ["primes"] and args.primes > 1:
-        limit(args.primes)
-    return chosen[0]
+    source = chosen[0]
+    if limit and source in ("primes", "n"):
+        count = args.primes if source == "primes" else RandomModel(args.n, args.gmax, args.seed).n
+        if count > 1:
+            limit(count)
+    return source
 
 
 def _resolve_originator(
@@ -372,16 +375,6 @@ def _streamed_circuit(args: argparse.Namespace) -> _StreamedCircuit:
     return _StreamedCircuit(o)
 
 
-def _triangle_text(c) -> Iterator[str]:
-    """Every row, the originator first, in columns as wide as the widest value."""
-    terms = c.originator.terms
-    # No derived segment exceeds row 1's maximum: |x - y| <= max(x, y).
-    widest = (int(terms.min()), int(terms.max()), int(c.row(1).max()))
-    width = max(len(str(v)) for v in widest)
-    for k in range(c.n):
-        yield " ".join(str(v).ljust(width) for v in c.row(k).tolist())
-
-
 def cmd_triangle(args: argparse.Namespace) -> int:
     def capped(n: int) -> None:
         if n > args.cap:
@@ -392,10 +385,21 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     o = _resolve_originator(args, capped)
     _require_two_terms(o)
     capped(o.n)
-    c = build_circuit(o)
-    # JSON and CSV read the one stream of rows, each row listed as it is written.
-    rows = (c.row(k).tolist() for k in range(1, c.n))
-    _emit(args.format, {"n": c.n, "rows": rows}, rows, _triangle_text(c))
+    rows = _rows(o)
+    first = next(rows)  # the one derivation that can overflow, before a byte is written
+    # Every format reads the one stream of rows, each row listed as it is written.
+    lists = (row.tolist() for row in chain([first], rows))
+    # Text pads every value, the originator's too, to the widest: no derived
+    # segment exceeds row 1's maximum, as |x - y| <= max(x, y).  A row of m
+    # values fills the last m fields of one template, less the last space.
+    width = max(len(str(int(v))) for v in (o.terms.min(), o.terms.max(), first.max()))
+    field = f"%-{width}d "
+    template = field * o.n
+    lines = (
+        template[(o.n - len(row)) * len(field) : -1] % tuple(row)
+        for row in chain([o.terms.tolist()], lists)
+    )
+    _emit(args.format, {"n": o.n, "rows": lists}, lists, lines)
     return 0
 
 
@@ -439,15 +443,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     # JSON_BATCH_CHUNKS reports a write, and no report is made.
     c = _streamed_circuit(args)
     records = _check_columns(c)
-    if args.format == "text":
-        # Only text reads the status columns again, after they are counted.
-        statuses = list(map(_statuses, records))
-        summary = _column_counts(statuses)
-        texts = _check_lines(records, statuses, summary)
-    else:
-        summary = _column_counts(map(_statuses, records))
-        texts = _check_json(records, summary) if args.format == "json" else _check_rows(records)
-    for text in texts:
+    statuses = list(map(_statuses, records))
+    summary = _column_counts(statuses)
+    for text in _check_texts(args.format, records, statuses, summary):
         sys.stdout.write(text)
     return 0 if summary["failed"] == 0 else 1
 
@@ -591,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_TRIANGLE_CAP,
         metavar="N",
-        help="largest originator to materialize as a triangle (default: %(default)s)",
+        help="largest originator whose triangle is printed (default: %(default)s)",
     )
     p.set_defaults(func=cmd_triangle)
 

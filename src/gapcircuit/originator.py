@@ -20,7 +20,6 @@ from .errors import (
     Int64OverflowError,
     RangeError,
     SequenceParseError,
-    SieveBudgetError,
 )
 
 I64_MIN = -(1 << 63)
@@ -183,12 +182,7 @@ def random_generalized(model: RandomModel) -> Originator:
         raise Int64OverflowError(
             f"a sequence of {model.n} terms cannot fit in signed 64-bit integers"
         )
-    budget = sieve.sieve_budget_bytes()
-    if 8 * model.n > budget:
-        raise SieveBudgetError(
-            f"a walk of {model.n} terms needs {8 * model.n} bytes, over the budget of "
-            f"{budget} bytes (raise {sieve.BUDGET_ENV_VAR} to allow this)"
-        )
+    sieve._check_budget(8 * model.n, f"a walk of {model.n} terms needs")
     half = model.g_max // 2
     # Draws above top, the end of the last whole cycle mod half, are skipped.
     top = ((1 << 64) // half) * half - 1

@@ -17,7 +17,8 @@ in one flag buffer made once per stream, so a streamed reader holds that
 buffer, one piece and the base primes; the n-prime version stops at the
 n-th prime.  ``_joined`` copies the pieces into one array as they are
 sieved, for ``primes_up_to_array``, ``first_n_primes_array`` and the base
-primes, and is the one budget check.
+primes.  ``_check_budget`` is the one budget check, for those arrays and
+for the random walks of ``originator``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,16 @@ def sieve_budget_bytes() -> int:
     if value <= 0:
         raise SieveBudgetError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def _check_budget(size: int, lead: str) -> None:
+    """``SieveBudgetError``, its message led by ``lead``, when ``size`` bytes exceed the budget."""
+    budget = sieve_budget_bytes()
+    if size > budget:
+        raise SieveBudgetError(
+            f"{lead} {size} bytes, over the budget of {budget} bytes "
+            f"(raise {BUDGET_ENV_VAR} to allow this)"
+        )
 
 
 def prime_count_upper_bound(limit: int) -> int:
@@ -224,15 +235,10 @@ def _joined(windows: Iterator[np.ndarray], capacity: int) -> np.ndarray:
 
     ``capacity`` must bound their count; the array is cut to the count in
     place, so it never exists twice.  Every held prime array is made here,
-    so this is the one budget check: ``SieveBudgetError`` when the
+    so the budget is checked here: ``SieveBudgetError`` when the
     ``8 * capacity`` bytes would exceed it, before any window is read.
     """
-    budget = sieve_budget_bytes()
-    if 8 * capacity > budget:
-        raise SieveBudgetError(
-            f"{capacity} primes need {8 * capacity} bytes, over the budget of {budget} "
-            f"bytes (raise {BUDGET_ENV_VAR} to allow this)"
-        )
+    _check_budget(8 * capacity, f"{capacity} primes need")
     primes = np.empty(capacity, dtype=np.int64)
     filled = 0
     for window in windows:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -402,6 +402,27 @@ class TestSuite:
             for r in reports
             if r.name.startswith("monotone_length_decrease")
         )
+
+    @given(terms_strategy)
+    @example([2, 3])
+    @example([4, 4, 4, 4])
+    @example(oracle.first_primes(30))
+    @settings(max_examples=60)
+    def test_every_public_check_over_every_index(self, terms):
+        c = build_circuit(Originator(terms))
+        n = c.n
+        caps = [max(top, 1) for top in oracle.row_maxima(terms)]
+        sandwiches = n >= 3
+        want = [check_length_bounds(c, k) for k in range(1, n)]
+        want += [check_small_segment_existence(c, k, caps[k - 1]) for k in range(1, n)]
+        want += [check_monotone_length_decrease(c, k) for k in range(1, n - 1)]
+        want += [check_circuit_bounds(c)] if sandwiches else []
+        want += [check_trace_recurrence(c, s) for s in range(1, n - 1)]
+        if sandwiches:
+            want += [check_average_trace_bound(c), check_trace_circuit_theorem(c)]
+        want += [check_zero_existence(c, s) for s in range(1, n)]
+        want += [check_strong_gilbreath(c), check_trace_sum_identity(c)]
+        assert run_all_checks(c) == want
 
     def test_random_generalized_nonvacuous_reports_hold(self, tmp_path):
         # 1000 sequences; any violating sequence gets dumped for replay

@@ -23,6 +23,7 @@ from gapcircuit import (
     bounds,
     Int64OverflowError,
     Originator,
+    RangeError,
     build_circuit,
     cli,
     run_all_checks,
@@ -233,22 +234,29 @@ class TestStreamedStats:
         assert run_cli(capsys, "stats", *argv) == (2, "", f"error: {message}\n")
 
 
+def _triangle_output(fmt: str, terms: list[int]) -> str:
+    """triangle's output in ``fmt``, made from the oracle's rows."""
+    rows = oracle.triangle_rows(terms)
+    if fmt == "json":
+        return json.dumps({"n": len(terms), "rows": rows}, indent=2) + "\n"
+    if fmt == "csv":
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    rows = [terms, *rows]
+    width = max(len(str(v)) for row in rows for v in row)
+    return "".join(" ".join(str(v).ljust(width) for v in row) + "\n" for row in rows)
+
+
 class TestCircuitCellLimit:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (
-                ["triangle", "--primes", "30000", "--cap", "30000"],
-                "a circuit of 30000 terms would hold 449985000 cells, over the limit "
-                "of 268435456",
-            ),
             (
                 ["check", "--primes", "200000"],
                 "the triangle of 200000 terms would derive 19999900000 cells, over the "
                 "limit of 17179869184",
             ),
         ],
-        ids=["triangle", "check"],
+        ids=["check"],
     )
     def test_refused_before_allocating(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(triangle, "Circuit", _refuse_circuit)
@@ -261,6 +269,16 @@ class TestCircuitCellLimit:
             tracemalloc.stop()
         assert result == (2, "", f"error: {message}\n")
         assert peak < 8 * 2**20
+
+    def test_cap_is_the_one_triangle_limit(self, capsys, monkeypatch):
+        # the library keeps its cell limit; the command streams its rows past it
+        monkeypatch.setattr(triangle, "CIRCUIT_CELL_LIMIT", 10)
+        with pytest.raises(RangeError, match="a circuit of 6 terms would hold 15 cells"):
+            build_circuit(Originator(oracle.first_primes(6)))
+        for fmt in ("json", "csv", "text"):
+            want = _triangle_output(fmt, oracle.first_primes(50))
+            argv = ["triangle", "--primes", "50", "--cap", "50", "--format", fmt]
+            assert run_cli(capsys, *argv) == (0, want, "")
 
 
 class TestDerivationLimit:
@@ -301,7 +319,7 @@ class TestDerivationLimit:
         assert "unrecognized arguments: --cap 10" in captured.err
 
     def test_triangle_keeps_its_cap(self, capsys):
-        # TestCircuitCellLimit holds triangle's cell-limit message.
+        # --cap is triangle's one limit (TestCircuitCellLimit).
         assert run_cli(capsys, "triangle", "--primes", "50", "--cap", "10") == (
             2,
             "",
@@ -344,6 +362,87 @@ class TestCountRefusedBeforeSieving:
         for name in ("_windows", "prime_windows", "first_n_prime_windows"):
             monkeypatch.setattr(sieve, name, sieved)
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+class TestWalkCountRefusedBeforeDrawing:
+    """``--n N`` meets the command's limit on N before the walk is drawn,
+    and after the walk's own parameters are checked."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["stats", "--n", "30000000", "--gmax", "2"],
+                "the triangle of 30000000 terms would derive 449999985000000 cells, over "
+                "the limit of 17179869184",
+            ),
+            (
+                ["check", "--n", "30000000", "--gmax", "2"],
+                "the triangle of 30000000 terms would derive 449999985000000 cells, over "
+                "the limit of 17179869184",
+            ),
+            (
+                ["triangle", "--n", "20000", "--gmax", "2"],
+                "20000 terms exceeds the triangle cap of 10000; raise it with --cap",
+            ),
+            (
+                ["verify", "--n", "200000", "--gmax", "2", "--method", "naive"],
+                "the naive sweep of 200000 terms would derive 19999900000 cells, over the "
+                "limit of 17179869184; use --method frontier with a larger --scan-depth",
+            ),
+            (
+                ["stats", "--n", "30000000", "--gmax", "3"],
+                "maximum gap must be an even integer in [2, 9223372036854775806], got 3",
+            ),
+        ],
+        ids=["stats", "check", "triangle", "verify", "gmax"],
+    )
+    def test_refused_undrawn(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "random_generalized", _refuse_circuit)
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+class TestStreamedTriangle:
+    """triangle writes its rows as they are derived: no circuit, O(n) memory."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("source", ["primes", "file"])
+    def test_same_output_without_a_circuit(self, capsys, monkeypatch, tmp_path, source, fmt):
+        monkeypatch.setattr(cli, "build_circuit", _refuse_circuit)
+        monkeypatch.setattr(triangle, "Circuit", _refuse_circuit)
+        if source == "primes":
+            terms, given = oracle.first_primes(200), ["--primes", "200"]
+        else:
+            terms = [-100, 5, 3, -7, 0, 12, -(2**40), 9]
+            path = tmp_path / "terms.txt"
+            path.write_text("\n".join(map(str, terms)) + "\n")
+            given = ["--file", str(path)]
+        got = run_cli(capsys, "triangle", *given, "--format", fmt)
+        assert got == (0, _triangle_output(fmt, terms), "")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_peak_memory_far_below_the_triangle(self, fmt):
+        # the triangle of 3000 terms holds 3000 * 2999 / 2 int64 cells: 36 MB
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["triangle", "--primes", "3000", "--format", fmt]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "terms", [[0, 2**63 - 1, -1], [0, -(2**63)], [5, 6, -(2**63), 1], [-(2**62), 2**62, 1]]
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_overflow_prints_nothing(self, capsys, tmp_path, terms, fmt):
+        path = tmp_path / "terms.txt"
+        path.write_text("\n".join(map(str, terms)) + "\n")
+        with pytest.raises(Int64OverflowError) as exc:
+            build_circuit(Originator(terms))
+        code, out, err = run_cli(capsys, "triangle", "--file", str(path), "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
 
 class TestClosedStdout:
@@ -667,9 +766,9 @@ class TestCheckColumns:
         status = bounds._statuses(record)
         summary = bounds._column_counts([status])
         written = {
-            "json": "".join(cli._check_json([record], summary)),
-            "csv": "".join(cli._check_rows([record])),
-            "text": "".join(cli._check_lines([record], [status], summary)),
+            "json": "".join(cli._check_texts("json", [record], [status], summary)),
+            "csv": "".join(cli._check_texts("csv", [record], [status], summary)),
+            "text": "".join(cli._check_texts("text", [record], [status], summary)),
         }
         assert _report_text(report) in written["json"]
         for fmt in CHECK_FORMATS:
@@ -982,13 +1081,20 @@ class TestWalkBudget:
 
     @pytest.mark.parametrize("command", ["triangle", "stats", "check", "verify", "search"])
     def test_oversized_walk_refused(self, capsys, monkeypatch, command):
+        # triangle, stats and check refuse the count at their own limit first
         monkeypatch.delenv("GAPCIRCUIT_SIEVE_BUDGET", raising=False)
         code, out, err = run_cli(capsys, command, "--n", "100000000000", "--gmax", "2")
         assert (code, out) == (2, "")
-        assert err == (
+        cells = (
+            "error: the triangle of 100000000000 terms would derive 4999999999950000000000 "
+            "cells, over the limit of 17179869184\n"
+        )
+        walk = (
             "error: a walk of 100000000000 terms needs 800000000000 bytes, over the budget "
             f"of {sieve.DEFAULT_BUDGET_BYTES} bytes (raise GAPCIRCUIT_SIEVE_BUDGET to allow this)\n"
         )
+        cap = "error: 100000000000 terms exceeds the triangle cap of 10000; raise it with --cap\n"
+        assert err == {"triangle": cap, "stats": cells, "check": cells}.get(command, walk)
 
     @pytest.mark.parametrize("command", ["triangle", "stats", "check", "verify", "search"])
     def test_budget_admits_a_walk_of_its_size(self, capsys, monkeypatch, command):

@@ -44,7 +44,7 @@ class Mutant(NamedTuple):
 SIEVE_TESTS = ("tests/test_sieve.py",)
 VERIFIER_TESTS = ("tests/test_verifier.py",)
 TRIANGLE_TESTS = ("tests/test_triangle.py",)
-CLI_TESTS = ("tests/test_cli.py",)
+BOUNDS_TESTS = ("tests/test_bounds.py",)
 
 MUTANTS = (
     Mutant(
@@ -165,14 +165,87 @@ MUTANTS = (
         "src/gapcircuit/cli.py",
         "None if naive else args.scan_depth",
         "args.scan_depth",
-        CLI_TESTS,
+        ("tests/test_cli.py::TestStreamedVerify",),
     ),
     Mutant(
         "--primes N sieved before its count is checked",
         "src/gapcircuit/cli.py",
-        "        limit(args.primes)\n",
-        "        pass\n",
-        CLI_TESTS,
+        "count = args.primes if",
+        "count = 0 if",
+        ("tests/test_cli.py::TestCountRefusedBeforeSieving",),
+    ),
+    Mutant(
+        "--n N drawn before its count is checked",
+        "src/gapcircuit/cli.py",
+        'if limit and source in ("primes", "n"):',
+        'if limit and source in ("primes",):',
+        ("tests/test_cli.py::TestWalkCountRefusedBeforeDrawing",),
+    ),
+    Mutant(
+        "triangle's row 1 derived after json and csv start writing",
+        "src/gapcircuit/cli.py",
+        "    first = next(rows)  # the one derivation that can overflow, before a byte is written\n"
+        "    # Every format reads the one stream of rows, each row listed as it is written.\n"
+        "    lists = (row.tolist() for row in chain([first], rows))\n",
+        '    first = next(rows) if args.format == "text" else o.terms\n'
+        '    lists = (row.tolist() for row in (chain([first], rows) if args.format == "text" else rows))\n',
+        ("tests/test_cli.py::TestStreamedTriangle::test_overflow_prints_nothing",),
+    ),
+    Mutant(
+        "triangle's text width without row 1's maximum",
+        "src/gapcircuit/cli.py",
+        "(o.terms.min(), o.terms.max(), first.max())",
+        "(o.terms.min(), o.terms.max())",
+        ("tests/test_cli.py::TestTriangleCommand",),
+    ),
+    Mutant(
+        "check's text slots filled in reverse order",
+        "src/gapcircuit/cli.py",
+        '"%-8s " + text, (0, *order)',
+        '"%-8s " + text, (0, *order[::-1])',
+        ("tests/test_cli.py::TestCheckColumns",),
+    ),
+    Mutant(
+        "equality counted as failed",
+        "src/gapcircuit/bounds.py",
+        '"equality": "held"',
+        '"equality": "failed"',
+        BOUNDS_TESTS,
+    ),
+    Mutant(
+        "any strict failure with the non-strict flag is equality",
+        "src/gapcircuit/bounds.py",
+        "if non_strict and lhs == rhs",
+        "if non_strict",
+        BOUNDS_TESTS,
+    ),
+    Mutant(
+        "panel prefix sums skip row 1's maximum",
+        "src/gapcircuit/bounds.py",
+        "prefix += maxima[u - 1]",
+        "prefix += maxima[u]",
+        BOUNDS_TESTS,
+    ),
+    Mutant(
+        "trace recurrence reads the deepest segment of the next column",
+        "src/gapcircuit/bounds.py",
+        "lasts[n - s - 1]",
+        "lasts[n - s]",
+        BOUNDS_TESTS,
+    ),
+    Mutant(
+        "order 1's edge gap reads the last term",
+        "src/gapcircuit/bounds.py",
+        "a[c.n - 2]",
+        "a[c.n - 1]",
+        BOUNDS_TESTS,
+    ),
+    Mutant(
+        "the suite's sandwich lower bound over all n - 1 edge gaps",
+        "src/gapcircuit/bounds.py",
+        "_sandwich_lower(gaps[:-1])",
+        "_sandwich_lower(gaps)",
+        ("tests/test_bounds.py::TestSuite",),
     ),
     Mutant(
         "less for less_equal in the block's narrowing flag",
