@@ -345,12 +345,21 @@ def _input_source(args: argparse.Namespace, limit: Callable[[int], object] | Non
 
 
 def _resolve_originator(
-    args: argparse.Namespace, limit: Callable[[int], object] | None = None
+    args: argparse.Namespace, limit: Callable[..., object] | None = None
 ) -> Originator:
+    """The input's originator, held; ``limit`` as for ``_input_source``.
+
+    ``limit`` also meets a proven lower bound on the count of primes up to
+    ``--limit L``, called with the words "at least " for its message, before
+    they are sieved; the caller checks the exact count after.
+    """
     source = _input_source(args, limit)
     if source == "primes":
         return first_n_primes(args.primes)
     if source == "limit":
+        fewest = sieve.prime_count_lower_bound(args.limit)
+        if limit and fewest > 1:
+            limit(fewest, "at least ")
         return primes_up_to(args.limit)
     if source == "file":
         try:
@@ -367,8 +376,14 @@ def _require_two_terms(o: Originator) -> None:
 
 def _streamed_circuit(args: argparse.Namespace) -> _StreamedCircuit:
     """The input's circuit as streamed rows, refused above ``SWEEP_CELL_LIMIT`` cells."""
-    refusal = "the triangle of {n} terms would derive {cells} cells, over the limit of {limit}"
-    cells = partial(_triangle_cells, limit=SWEEP_CELL_LIMIT, refusal=refusal)
+
+    def cells(n: int, at_least: str = "") -> int:
+        refusal = (
+            f"the triangle of {at_least}{{n}} terms would derive {at_least}{{cells}} cells, "
+            "over the limit of {limit}"
+        )
+        return _triangle_cells(n, SWEEP_CELL_LIMIT, refusal)
+
     o = _resolve_originator(args, cells)
     _require_two_terms(o)
     cells(o.n)
@@ -376,10 +391,10 @@ def _streamed_circuit(args: argparse.Namespace) -> _StreamedCircuit:
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:
-    def capped(n: int) -> None:
+    def capped(n: int, at_least: str = "") -> None:
         if n > args.cap:
             raise UsageError(
-                f"{n} terms exceeds the triangle cap of {args.cap}; raise it with --cap"
+                f"{at_least}{n} terms exceeds the triangle cap of {args.cap}; raise it with --cap"
             )
 
     o = _resolve_originator(args, capped)

@@ -93,6 +93,18 @@ def prime_count_upper_bound(limit: int) -> int:
     return int(limit / log * (1 + 1.2762 / log)) + 1
 
 
+def prime_count_lower_bound(limit: int) -> int:
+    """Lower bound on the number of primes <= limit.
+
+    Rosser and Schoenfeld (1962): pi(x) > x / ln x for x >= 17; 0 below 17.
+    pi(x) is a whole number above x / ln x, so the float's floor is at most
+    pi(x).  From 10^5 to 10^10 it is 4.5-9.5% below pi(x).
+    """
+    if limit < 17:
+        return 0
+    return int(limit / math.log(limit))
+
+
 def nth_prime_upper_bound(n: int) -> int:
     """Integer upper bound on the n-th prime (1-based)."""
     if n <= len(_SMALL_NTH_BOUND):

@@ -11,37 +11,36 @@ differences keep {0, 2} values inside {0, 2} and |x - 1| = 1 for x in
 Every entry point is ``verify_frontier_windows`` over ``read``, a callable
 that returns the terms as consecutive int64 windows: a held originator is
 the single window ``(o.terms,)``, and ``verify --primes/--limit`` reads the
-sieve's windows under either method.
-Row 1 is derived in one place, a chunk per window with the overflow-checked
-difference, each chunk starting from the last term of the window before.
-The naive sweep (``scan_depth`` None, and the scan falls back to it)
-refuses triangles of more than ``SWEEP_CELL_LIMIT``
-cells, then calls ``read()`` a second time and runs the same scan over that
-row 1 with the certificate off: one tile of every column, which checks its
-leader every row down to the last, so memory stays O(n).  The frontier
-scan works on one column tile at a time.  Entry j of row k depends only on
-entries j..j+k-1 of row 1, so a tile with a halo of D = min(scan_depth,
-n - 1) extra columns can be derived through row D by itself.  A tile is
-scanned as soon as its columns and its halo have arrived, so the scan
-never needs all of row 1 at once.  The columns that wait for their tile
-are queued chunk by chunk, each chunk narrowed to the dtype of its own
+sieve's windows under either method.  Row 1 is derived in one place, a
+chunk per window with the overflow-checked difference, each chunk starting
+from the last term of the window before.  Three parts scan it.
+
+The queue, ``_tiles``, hands out row 1 in column tiles.  Entry j of row k
+depends only on entries j..j+k-1 of row 1, so a tile with a halo of
+D = min(scan_depth, n - 1) extra columns derives rows 1..D by itself, and
+is handed out as soon as its columns and halo have arrived.  The columns
+that wait are queued chunk by chunk, each narrowed to the dtype of its own
 maximum, so they take a byte or two each, not eight.
 
-Each tile starts in the narrowest signed dtype that holds the maximum of its
-own row-1 columns, halo included: entries are nonnegative and
-|x - y| <= max(x, y), so no later row of the tile exceeds that bound.  Once
-a tile's region is all 0s and 2s it stays so (one column
-shorter per row), so every tile has a first such row, and the first row
-whose whole tail is in {0, 2} is the largest of these.  So a tile reads its
-row maximum every row from the largest first row found so far, the running
-certificate, and every ``SETTLE_EVERY`` rows below it: a tile settled below
-the certificate cannot raise it, and stops there.  The same maximum lets an
-unsettled tile narrow again to the dtype that holds it (the naive tile reads
-it every ``SETTLE_EVERY`` rows only for this).  Tile 0 also carries the
-leaders, and a leader other than 1 there, row 1's included, ends the scan;
-its running certificate is row 1, so it is checked every row.  A tile still
-unsettled at row D means no row within the scan depth has the certificate
-shape, so the run falls back to the naive sweep over the whole originator.
+The tile scan, ``_scan_tile``, derives one tile and returns its record.  It
+starts in the narrowest signed dtype that holds the tile's row-1 maximum:
+entries are nonnegative and |x - y| <= max(x, y), so no later row exceeds
+it.  Once a tile's region is all 0s and 2s it stays so (one column shorter
+per row), and the first row whose whole tail is in {0, 2} is the largest of
+the tiles' first such rows.  So a tile reads its row maximum every row from
+the certificate it is given, and every ``SETTLE_EVERY`` rows below it: a
+tile settled below the certificate cannot raise it, and stops.  The same
+maximum narrows an unsettled tile again.  A tile that holds the leaders
+also checks each one, row 1's included.
+
+The fold, in ``verify_frontier_windows``, gives tile 0 the leaders and each
+tile the largest stop row so far as its certificate, and stops at the first
+failure.  A tile still unsettled at row D means that no row within the scan
+depth has the certificate shape, so the run falls back to the naive sweep,
+which ``scan_depth`` None asks for at once.  The sweep refuses triangles of
+more than ``SWEEP_CELL_LIMIT`` cells, calls ``read()`` a second time, and
+scans the queue's one all-halo tile with no certificate: every column,
+every leader down to the last row, in O(n) memory.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -130,76 +130,77 @@ def _narrowest_dtype(bound: int) -> np.dtype:
     return _INT64
 
 
-def _scan_tiles(
-    chunks: Iterator[np.ndarray], depth: int, certify: bool = True
-) -> tuple[tuple[int, int] | None, int | None] | None:
-    """The frontier scan of rows 1..depth over row 1 read in chunks, tile by tile.
+class _TileScan(NamedTuple):
+    """One tile's scan: ``stop`` is the row it settled at, ``failure`` a bad leader (row, value)."""
 
-    The tile at column lo is scanned once columns lo .. lo + TILE_COLUMNS +
-    depth - 1 have arrived, or once row 1 has ended; a tile cut short by the
-    end of row 1 runs out of columns before row ``depth``.  Chunks after the
-    scan ends are left unread.  Returns ``(first_failure, None)`` for a
-    leader other than 1 met before the certificate, ``(None,
-    stabilization_row)`` for a certificate, and None when some tile is not
-    all 0s and 2s by row ``depth``.
+    lo: int  # the first column
+    width: int  # the row-1 entries, halo included
+    top: int  # their maximum
+    dtype: np.dtype  # the dtype the scan starts in
+    stop: int | None
+    failure: tuple[int, int] | None
 
-    With ``certify`` off it is the naive sweep, for ``depth`` n - 1: one
-    tile of all of row 1 checks its leader down to the last row, and the
-    scan returns ``(first_failure, None)`` after it.
+
+def _tiles(chunks: Iterator[np.ndarray], columns: int, halo: int) -> Iterator[tuple]:
+    """Row 1, read in chunks, as tiles ``(lo, row 1's columns lo .. lo + columns + halo - 1)``.
+
+    The entries stop at the end of row 1, and the next tile starts at
+    lo + ``columns``.  Chunks are read only as tiles need them.  With
+    ``columns`` 0 every tile is the one all-halo tile, so a reader takes one.
     """
-    columns = TILE_COLUMNS if certify else 0  # the naive tile is all halo
-    certificate = 1
     pending = np.empty(0, dtype=np.int64)  # row 1 from column lo on
     lo = 0
     ended = False
     while True:
-        while not ended and pending.size < columns + depth:
+        while not ended and pending.size < columns + halo:
             chunk = next(chunks, None)
             if chunk is None:
                 ended = True
             else:
-                # Queued as narrow as its own maximum allows; the tile narrows again.
+                # Queued as narrow as its own maximum allows; the tile scan narrows again.
                 chunk = chunk.astype(_narrowest_dtype(int(chunk.max())), copy=False)
                 pending = np.concatenate((pending, chunk)) if pending.size else chunk
                 del chunk  # dropped before the next chunk is read
         if pending.size == 0:
-            return None, certificate
-        tile = pending[: columns + depth]
-        cur = tile.astype(_narrowest_dtype(int(tile.max())))
-        nxt = np.empty_like(cur)
-        # Tile 0 holds the leader, which the certificate shape excludes.
-        region_start = 1 if lo == 0 else 0
-        k = 1
-        while True:
-            if lo == 0 and cur[0] != 1:
-                return (k, int(cur[0])), None
-            # A tile whose region has run out of columns has settled.  Only
-            # the largest first-stable row matters, so a tile is checked every
-            # row from the certificate row found so far, and below it every
-            # SETTLE_EVERY rows: settled there, it cannot raise the
-            # certificate.  The naive tile settles only once its region is
-            # empty, and reads its maximum every SETTLE_EVERY rows to narrow.
-            settled = cur.size <= region_start
-            if not settled and (k % SETTLE_EVERY == 0 or (certify and k >= certificate)):
-                # Entries are nonnegative: the region is all 0s and 2s when
-                # the row's maximum is at most 2 and the region holds no 1.
-                top = int(cur.max())
-                settled = certify and top <= 2 and not (cur[region_start:] == 1).any()
-                dtype = _narrowest_dtype(top)
-                if not settled and dtype != cur.dtype:
-                    cur = cur.astype(dtype)
-                    nxt = np.empty_like(cur)
-            if settled:
-                certificate = max(certificate, k)
-                break
-            if k == depth:
-                return None
-            cur, nxt = _derive_into(cur, nxt[: cur.size - 1]), cur
-            k += 1
-        if not certify:
-            return None, None
-        pending = pending[TILE_COLUMNS:]
-        lo += TILE_COLUMNS
+            return
+        yield lo, pending[: columns + halo]
+        pending = pending[columns:]
+        lo += columns
+
+
+def _scan_tile(tile: tuple, depth: int, certificate: int | None, leaders: bool) -> _TileScan:
+    """The record of rows 1..depth of a tile from ``_tiles``, cut short once it settles or fails.
+
+    With ``leaders`` set, column 0 holds the leaders, which the region
+    leaves out.  With ``certificate`` None the tile settles only when its
+    region runs out of columns: it is the naive sweep.
+    """
+    lo, entries = tile
+    top = int(entries.max())
+    cur = entries.astype(_narrowest_dtype(top))
+    nxt = np.empty_like(cur)
+    record = partial(_TileScan, lo, entries.size, top, cur.dtype)
+    lead = int(leaders)  # the leader is not in the region
+    k = 1
+    while True:
+        if leaders and cur[0] != 1:
+            return record(None, (k, int(cur[0])))
+        if cur.size <= lead:  # the region has run out of columns
+            return record(k, None)
+        if k % SETTLE_EVERY == 0 or (certificate is not None and k >= certificate):
+            # Entries are nonnegative: the region is all 0s and 2s when
+            # the row's maximum is at most 2 and the region holds no 1.
+            peak = int(cur.max())
+            if certificate is not None and peak <= 2 and not (cur[lead:] == 1).any():
+                return record(k, None)
+            dtype = _narrowest_dtype(peak)
+            if dtype != cur.dtype:
+                cur = cur.astype(dtype)
+                nxt = np.empty_like(cur)
+        if k == depth:
+            return record(None, None)
+        cur, nxt = _derive_into(cur, nxt[: cur.size - 1]), cur
+        k += 1
 
 
 def _sweep_cells(n: int) -> int:
@@ -251,11 +252,10 @@ def verify_frontier_windows(
 
     ``read()`` returns the terms in order, as int64 arrays of any sizes; the
     scan holds the current window, the row-1 columns not yet scanned and one
-    tile, never the whole originator.  With ``scan_depth`` None the scan is
-    off and the run is the naive sweep.  Without a certificate or a failure
-    from the scan, ``read()`` is called a second time, after the sweep's
-    cell limit, and must then return the same terms; their row 1 goes
-    through the scan again with the certificate off.  The report is
+    tile, never the whole originator.  With ``scan_depth`` None the run is
+    the naive sweep.  Without a certificate or a failure from the tiles,
+    ``read()`` is called a second time, after the sweep's cell limit, and
+    must then return the same terms for the sweep.  The report is
     ``verify_frontier``'s (``verify_naive``'s for None) on the whole
     originator, except that ``elapsed`` includes reading the windows.
     """
@@ -265,23 +265,33 @@ def verify_frontier_windows(
         raise RangeError(f"scan depth must be at least 1, got {scan_depth}")
     terms_read = [0]
     chunks = _row1_chunks(windows, terms_read)
-    found = None if scan_depth is None else _scan_tiles(chunks, scan_depth)
+    # The fold: the certificate is the largest row a tile settled at, and a
+    # tile that did not settle ends the scan, with its failure if it has one.
+    certificate = first_failure = None
+    if scan_depth is not None:
+        certificate = 1
+        for tile in _tiles(chunks, TILE_COLUMNS, scan_depth):
+            record = _scan_tile(tile, scan_depth, certificate, leaders=tile[0] == 0)
+            if record.stop is None:
+                certificate, first_failure = None, record.failure
+                break
+            certificate = max(certificate, record.stop)
     for _ in chunks:  # read the rest to count the terms and check every difference
         pass
     n = terms_read[0]
     if n < 2:
         raise RangeError(f"verification needs at least two terms, got {n}")
-    if found is None:
+    if certificate is None and first_failure is None:  # the naive sweep
         _sweep_cells(n)  # before the terms are read again
-        found = _scan_tiles(_row1_chunks(read(), [0]), n - 1, certify=False)
-    first_failure, stabilization_row = found
+        tile = next(_tiles(_row1_chunks(read(), [0]), 0, n - 1))
+        first_failure = _scan_tile(tile, n - 1, None, leaders=True).failure
     return VerifyReport(
         n=n,
-        method="frontier" if stabilization_row is not None else "naive",
+        method="frontier" if certificate is not None else "naive",
         all_ones=first_failure is None,
         max_order_checked=first_failure[0] - 1 if first_failure else n - 1,
         first_failure=first_failure,
-        stabilization_row=stabilization_row,
+        stabilization_row=certificate,
         elapsed=time.perf_counter() - start,
     )
 

@@ -79,6 +79,36 @@ def frontier(terms, scan_depth):
     return None, None
 
 
+def tile_scan(terms, lo, span, depth, certificate, leaders, every):
+    """(width, row-1 maximum, dtype name, stop row, failure) of one tile's scan, by definition.
+
+    The tile holds columns lo .. lo + span - 1 of row 1, fewer at its end,
+    so its row k is columns lo .. lo + span - k of row k of the whole
+    triangle.  Its region leaves out column 0 when it holds the leaders,
+    and a leader other than 1 is its failure.  Its stop row is the row
+    where the region runs out of columns or, with a certificate, the first
+    row r at or after the region's first row of only 0s and 2s where
+    r % every == 0 or r >= certificate; None when rows 1..depth end first.
+    """
+    rows = triangle_rows(terms)
+    entries = rows[0][lo : lo + span]
+    top = max(entries)
+    dtype = next((f"int{bits}" for bits in (8, 16, 32) if top < 2 ** (bits - 1)), "int64")
+    lead = 1 if leaders else 0
+    stable = None
+    for k in range(1, depth + 1):
+        row = rows[k - 1][lo : lo + span - k + 1] if k <= len(rows) else []
+        if leaders and row[0] != 1:
+            return len(entries), top, dtype, None, (k, row[0])
+        if len(row) <= lead:
+            return len(entries), top, dtype, k, None
+        if stable is None and all(v in (0, 2) for v in row[lead:]):
+            stable = k
+        if certificate is not None and stable is not None and (k % every == 0 or k >= certificate):
+            return len(entries), top, dtype, k, None
+    return len(entries), top, dtype, None, None
+
+
 def first_primes(count):
     """The first `count` primes by incremental trial division."""
     primes = []

@@ -402,6 +402,82 @@ class TestWalkCountRefusedBeforeDrawing:
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+# The primes up to 3 * 10^8 number 16 252 325; the bound on them is 15 369 409.
+AT_LEAST_CELLS = (
+    "the triangle of at least 15369409 terms would derive at least 118109358819936 cells, "
+    "over the limit of 17179869184"
+)
+
+
+class TestLimitRefusedBeforeSieving:
+    """``--limit L`` meets the command's limit on a proven lower bound on the
+    count of primes up to L before a prime is sieved, and on the count after."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["triangle", "--limit", "300000000"],
+                "at least 15369409 terms exceeds the triangle cap of 10000; raise it with --cap",
+            ),
+            (["stats", "--limit", "300000000"], AT_LEAST_CELLS),
+            (["check", "--limit", "300000000"], AT_LEAST_CELLS),
+        ],
+        ids=["triangle", "stats", "check"],
+    )
+    def test_refused_unsieved(self, capsys, monkeypatch, argv, message):
+        def sieved(*args):
+            raise AssertionError("primes sieved")
+
+        for name in ("_windows", "prime_windows", "first_n_prime_windows", "_joined"):
+            monkeypatch.setattr(sieve, name, sieved)
+        monkeypatch.setattr(cli, "primes_up_to", sieved)
+        tracemalloc.start()
+        try:
+            got = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (2, "", f"error: {message}\n")
+        assert peak < 2**20
+
+    def test_limit_named_before_the_budget(self, capsys, monkeypatch):
+        # 4096 bytes hold none of the 664 579 primes up to 10^7
+        monkeypatch.setenv("GAPCIRCUIT_SIEVE_BUDGET", "4096")
+        code, out, err = run_cli(capsys, "stats", "--limit", "10000000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the triangle of at least 620420 terms would derive at least "
+            "192460177990 cells, over the limit of 17179869184\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the bound, 8685, is within the cap and the limit; the 9592 primes are not
+            (
+                ["triangle", "--limit", "100000", "--cap", "9000"],
+                "9592 terms exceeds the triangle cap of 9000; raise it with --cap",
+            ),
+            (
+                ["stats", "--limit", "100000"],
+                "the triangle of 9592 terms would derive 45998436 cells, over the limit of "
+                "40495500",
+            ),
+        ],
+        ids=["triangle", "stats"],
+    )
+    def test_bound_within_the_limit_leaves_the_exact_count(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "SWEEP_CELL_LIMIT", 9000 * 8999 // 2)
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_verify_counts_exactly(self, capsys):
+        # the naive sweep reads the windows and counts them, so its refusal
+        # names the exact count whatever the bound
+        code, _, err = run_cli(capsys, "verify", "--limit", "10000000", "--method", "naive")
+        assert code == 2 and "naive sweep of 664579 terms" in err
+
+
 class TestStreamedTriangle:
     """triangle writes its rows as they are derived: no circuit, O(n) memory."""
 

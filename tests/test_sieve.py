@@ -329,3 +329,27 @@ class TestPrimeCountBound:
     )
     def test_known_counts(self, limit, count):
         assert count <= sieve.prime_count_upper_bound(limit) <= 1.008 * count
+
+
+class TestPrimeCountLowerBound:
+    """prime_count_lower_bound never rises above the sieve's count of primes."""
+
+    def test_every_limit_to_a_million(self):
+        limit = 10**6
+        primes = sieve.primes_up_to_array(limit)
+        counts = np.searchsorted(primes, np.arange(17, limit + 1), side="right").tolist()
+        bounds = [sieve.prime_count_lower_bound(x) for x in range(17, limit + 1)]
+        over = [x for x, bound, count in zip(range(17, limit + 1), bounds, counts) if bound > count]
+        assert over == []
+        assert [sieve.prime_count_lower_bound(x) for x in range(-1, 17)] == [0] * 18
+
+    @pytest.mark.parametrize(
+        "k, count",
+        [(1, 4), (2, 25), (3, 168), (4, 1229), (5, 9592), (6, 78498), (7, 664579),
+         (8, 5761455), (9, 50847534)],
+    )
+    def test_powers_of_ten(self, k, count):
+        assert sum(primes.size for primes in sieve.prime_windows(10**k)) == count
+        assert sieve.prime_count_lower_bound(10**k) <= count
+        if k >= 5:
+            assert sieve.prime_count_lower_bound(10**k) >= 0.9 * count

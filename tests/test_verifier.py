@@ -699,6 +699,109 @@ class TestSweepGuard:
         assert verifier.SWEEP_CELL_LIMIT == 2**34
 
 
+def _scans(run):
+    """``run()``'s result, and each ``_scan_tile`` call as (depth, certificate, leaders, record)."""
+    calls = []
+    original = verifier._scan_tile
+
+    def recording(tile, depth, certificate, leaders):
+        record = original(tile, depth, certificate, leaders)
+        calls.append((depth, certificate, leaders, record))
+        return record
+
+    with mock.patch.object(verifier, "_scan_tile", recording):
+        return run(), calls
+
+
+def _expected(terms, lo, span, depth, certificate, leaders):
+    """A tile's record as ``oracle.tile_scan`` has it, the dtype by name."""
+    scan = oracle.tile_scan(terms, lo, span, depth, certificate, leaders, verifier.SETTLE_EVERY)
+    return (lo, *scan)
+
+
+def _fields(record):
+    return (record.lo, record.width, record.top, record.dtype.name, record.stop, record.failure)
+
+
+class TestTileRecords:
+    """Each tile's record against the oracle's scan of the same columns, and the fold over them."""
+
+    @given(
+        first=st.integers(0, 50),
+        gaps=st.lists(st.sampled_from([0, 2, 2, 4, 6]), max_size=60),
+        bumps=st.lists(
+            st.tuples(
+                st.integers(0, 61),
+                st.one_of(
+                    st.integers(-3, 3), st.integers(0, 300), st.integers(0, 2**40)
+                ),
+            ),
+            max_size=3,
+        ),
+        tile=st.integers(1, 7),
+        scan_depth=st.integers(1, 70),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_records(self, first, gaps, bumps, tile, scan_depth):
+        terms = np.cumsum([first, 1, *gaps]).tolist()
+        for index, bump in bumps:
+            if index < len(terms):
+                terms[index] += bump
+        n = len(terms)
+        with mock.patch.object(verifier, "TILE_COLUMNS", tile):
+            report, calls = _scans(lambda: verify_frontier(Originator(terms), scan_depth))
+        tiles = [call for call in calls if call[1] is not None]
+        sweeps = [call for call in calls if call[1] is None]
+        # the frontier's tiles follow each other, tile 0 with the leaders, each
+        # given the largest stop row before it, until one does not settle
+        certificate = 1
+        for t, (depth, given_certificate, leaders, record) in enumerate(tiles):
+            assert (depth, given_certificate, leaders) == (scan_depth, certificate, t == 0)
+            expected = _expected(terms, t * tile, tile + scan_depth, depth, certificate, leaders)
+            assert _fields(record) == expected
+            if record.stop is None:
+                assert t == len(tiles) - 1
+            else:
+                certificate = max(certificate, record.stop)
+        last = tiles[-1][3]
+        if last.stop is not None:
+            assert len(tiles) == -(-(n - 1) // tile)
+            assert report.stabilization_row == certificate and not sweeps
+        elif last.failure is not None:
+            assert report.first_failure == last.failure and not sweeps
+        else:
+            # the naive sweep: one all-halo tile of every column, with no certificate
+            ((depth, _, leaders, record),) = sweeps
+            assert (depth, leaders) == (n - 1, True)
+            assert _fields(record) == _expected(terms, 0, n - 1, n - 1, None, True)
+            assert report.first_failure == record.failure and report.method == "naive"
+
+    @pytest.mark.parametrize("certificate", [None, 1, 5, 40])
+    @pytest.mark.parametrize("depth", [1, 3, 8, 20])
+    def test_tile_without_leaders(self, depth, certificate):
+        # row 1 is 1, 2, 2, then from column 3 on 4, 2, 2, 0, 2, 6, 2, 2: the
+        # tile at column 3 starts with 4, which is no failure without the leaders
+        terms = np.cumsum([0, 1, 2, 2, 4, 2, 2, 0, 2, 6, 2, 2]).tolist()
+        entries = np.array([4, 2, 2, 0, 2, 6, 2, 2], dtype=np.int64)
+        record = verifier._scan_tile((3, entries), depth, certificate, False)
+        assert record.failure is None
+        assert _fields(record) == _expected(terms, 3, 8, depth, certificate, False)
+        held = verifier._scan_tile((3, entries), depth, certificate, True)
+        assert held.failure == (1, 4) and held.stop is None
+
+    def test_search_scans_one_tile_per_trial(self, monkeypatch):
+        # every trial fails at row 1 of tile 0: the fold scans that tile
+        # alone, derives no row and never sweeps
+        monkeypatch.setattr(verifier, "_derive_into", _must_not_run)
+        report, calls = _scans(
+            lambda: search_counterexamples(RandomModel(20_000, 100, 0), trials=20, seed=1)
+        )
+        assert report.failures == 20 and report.failure_orders == ((1, 20),)
+        assert [(call[1], call[2], call[3].lo, call[3].stop) for call in calls] == [
+            (1, True, 0, None)
+        ] * 20
+
+
 class TestSearch:
     def test_gap_two_always_fails(self):
         report = search_counterexamples(RandomModel(4, 2, 0), trials=25, seed=3)

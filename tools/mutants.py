@@ -42,7 +42,12 @@ class Mutant(NamedTuple):
 
 
 SIEVE_TESTS = ("tests/test_sieve.py",)
-VERIFIER_TESTS = ("tests/test_verifier.py",)
+# The verifier's mutants run the classes that test the tile scan and the fold, or the sweep.
+SCAN_TESTS = tuple(
+    f"tests/test_verifier.py::{name}"
+    for name in ("TestTiledFrontier", "TestStreamedFrontier", "TestTileRecords")
+)
+SWEEP_TESTS = ("tests/test_verifier.py::TestNaiveSweep", "tests/test_verifier.py::TestTileRecords")
 TRIANGLE_TESTS = ("tests/test_triangle.py",)
 BOUNDS_TESTS = ("tests/test_bounds.py",)
 
@@ -76,74 +81,106 @@ MUTANTS = (
         SIEVE_TESTS,
     ),
     Mutant(
-        "a tile's stop sets the certificate to its own row",
+        "the fold keeps the last tile's stop row, not the largest",
         "src/gapcircuit/verifier.py",
-        "certificate = max(certificate, k)",
-        "certificate = k",
-        VERIFIER_TESTS,
+        "certificate = max(certificate, record.stop)",
+        "certificate = record.stop",
+        SCAN_TESTS,
     ),
     Mutant(
-        "min for max in the certificate",
+        "the fold keeps the smallest stop row, not the largest",
         "src/gapcircuit/verifier.py",
-        "certificate = max(certificate, k)",
-        "certificate = min(certificate, k)",
-        VERIFIER_TESTS,
+        "certificate = max(certificate, record.stop)",
+        "certificate = min(certificate, record.stop)",
+        SCAN_TESTS,
     ),
     Mutant(
-        "tile 0 checked only every SETTLE_EVERY rows",
+        "the fold checks the leaders on every tile",
         "src/gapcircuit/verifier.py",
-        "(certify and k >= certificate)",
-        "(certify and k >= certificate and lo > 0)",
-        VERIFIER_TESTS,
+        "leaders=tile[0] == 0",
+        "leaders=True",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        "the fold checks the leaders on no tile",
+        "src/gapcircuit/verifier.py",
+        "leaders=tile[0] == 0",
+        "leaders=False",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        "the fold gives every tile row 1 as its certificate",
+        "src/gapcircuit/verifier.py",
+        "_scan_tile(tile, scan_depth, certificate,",
+        "_scan_tile(tile, scan_depth, 1,",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        "an unsettled record does not fall back to the naive sweep",
+        "src/gapcircuit/verifier.py",
+        "if certificate is None and first_failure is None:",
+        "if scan_depth is None:",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        "the leaders' tile checked only every SETTLE_EVERY rows",
+        "src/gapcircuit/verifier.py",
+        "(certificate is not None and k >= certificate)",
+        "(certificate is not None and k >= certificate and not leaders)",
+        SCAN_TESTS,
     ),
     Mutant(
         "no tile stops below the certificate",
         "src/gapcircuit/verifier.py",
         "k % SETTLE_EVERY == 0 or (",
-        "k % SETTLE_EVERY == 0 and not certify or (",
-        VERIFIER_TESTS,
+        "k % SETTLE_EVERY == 0 and certificate is None or (",
+        SCAN_TESTS,
     ),
     Mutant(
-        "the naive mode still certifies",
+        "the naive sweep still certifies",
         "src/gapcircuit/verifier.py",
-        "settled = certify and top <= 2",
-        "settled = top <= 2",
-        VERIFIER_TESTS,
+        "if certificate is not None and peak <= 2",
+        "if peak <= 2",
+        SWEEP_TESTS,
     ),
     Mutant(
         "the naive tile stops one row early",
         "src/gapcircuit/verifier.py",
-        "settled = cur.size <= region_start",
-        "settled = cur.size <= region_start + (not certify)",
-        VERIFIER_TESTS,
+        "if cur.size <= lead:",
+        "if cur.size <= lead + (certificate is None):",
+        SWEEP_TESTS,
     ),
     Mutant(
-        "the naive scan goes on past its one tile",
+        "the naive sweep goes on past its one tile",
         "src/gapcircuit/verifier.py",
-        "        if not certify:\n            return None, None\n",
-        "",
-        VERIFIER_TESTS,
+        "        tile = next(_tiles(_row1_chunks(read(), [0]), 0, n - 1))\n"
+        "        first_failure = _scan_tile(tile, n - 1, None, leaders=True).failure\n",
+        "        for tile in _tiles(_row1_chunks(read(), [0]), TILE_COLUMNS, n - 1):\n"
+        "            first_failure = first_failure or _scan_tile(\n"
+        "                tile, n - 1, None, tile[0] == 0\n"
+        "            ).failure\n",
+        SWEEP_TESTS,
     ),
     Mutant(
         "less for less_equal in the narrowest dtype",
         "src/gapcircuit/verifier.py",
         "if bound <= top:",
         "if bound < top:",
-        VERIFIER_TESTS,
+        SCAN_TESTS,
     ),
     Mutant(
         "row-1 chunks queued without narrowing",
         "src/gapcircuit/verifier.py",
         "chunk = chunk.astype(_narrowest_dtype(int(chunk.max())), copy=False)",
         "pass",
-        VERIFIER_TESTS,
+        ("tests/test_verifier.py::TestStreamedMemory",),
     ),
     Mutant(
         "row-1 chunks not carrying the last term",
         "src/gapcircuit/verifier.py",
         "last = terms[-1:].copy()",
         "last = terms[:0]",
-        VERIFIER_TESTS,
+        SCAN_TESTS,
     ),
     Mutant(
         "the windows left after the scan not read, so n is undercounted",
@@ -151,14 +188,14 @@ MUTANTS = (
         "    for _ in chunks:  # read the rest to count the terms and check every difference\n"
         "        pass\n",
         "",
-        VERIFIER_TESTS,
+        SCAN_TESTS,
     ),
     Mutant(
         "greater_equal for greater in the cell limit",
         "src/gapcircuit/triangle.py",
         "if cells > limit:",
         "if cells >= limit:",
-        VERIFIER_TESTS,
+        ("tests/test_verifier.py::TestSweepGuard",),
     ),
     Mutant(
         "verify --method naive keeps its scan depth",
@@ -173,6 +210,13 @@ MUTANTS = (
         "count = args.primes if",
         "count = 0 if",
         ("tests/test_cli.py::TestCountRefusedBeforeSieving",),
+    ),
+    Mutant(
+        "--limit L sieved before its bound is checked",
+        "src/gapcircuit/cli.py",
+        "if limit and fewest > 1:",
+        "if False:",
+        ("tests/test_cli.py::TestLimitRefusedBeforeSieving",),
     ),
     Mutant(
         "--n N drawn before its count is checked",
