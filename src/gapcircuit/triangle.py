@@ -8,12 +8,13 @@ buffer of n(n-1)/2 segments, refused above ``CIRCUIT_CELL_LIMIT``.  Indices in
 the public API are 1-based: segment s of order k is the value at row k,
 column s.
 
-Statistics and the checks of ``bounds`` read one cached summary of the rows,
-filled in one pass over rows derived afresh from the originator, for a held
-circuit too, so it needs O(n) memory and no circuit.  The pass derives the
-rows a block at a time into one reused 512 KiB buffer (two rows to a block,
-or one for the checks, when a row is wider than half of it) and takes every
-field of the summary with one NumPy reduction per block.  Its sums are exact for any int64 input and raise only
+Rows that are not held come from one stream, ``_blocks``, which derives
+them afresh from the originator a block at a time into one reused buffer of
+512 KiB, or of two rows when a row is wider than half of that.  The
+``triangle`` command and ``path_of_order`` read its rows one at a time.
+Statistics and the checks of ``bounds`` read one cached summary of them,
+for a held circuit too, so they need O(n) memory: every field is one NumPy
+reduction per block.  Its sums are exact for any int64 input and raise only
 when read outside int64: they add rows straight into int64 when row 1's
 maximum times n - 1 fits, and 31-bit limbs otherwise.  Statistics ask for
 the totals alone; only the checks pay for each row's extremes and edge
@@ -88,18 +89,59 @@ def _derive_into(row: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows(o: Originator) -> Iterator[np.ndarray]:
-    """Rows 1..n-1 of the circuit of ``o``, each derived from the one before.
+def _block_height(width: int, checks: bool) -> int:
+    """Rows of ``width`` segments in one block: as many as fit in ``_BLOCK_CELLS``.
 
-    Rows ping-pong between two buffers, so a yielded row is overwritten once
-    the row after next is derived.
+    At least two for the totals, which pass over a block twice.  The checks
+    pass over it about eight times, and take a wider row alone, so that each
+    pass finds the row still in cache.
     """
-    row = _abs_diff_checked(o.terms)
-    spare = np.empty(row.size - 1, dtype=row.dtype)
-    yield row
-    while row.size > 1:
-        row, spare = _derive_into(row, spare[: row.size - 1]), row
-        yield row
+    return max(1 if checks else 2, _BLOCK_CELLS // width)
+
+
+def _blocks(o: Originator, checks: bool) -> Iterator[tuple[np.ndarray, np.ndarray, list[bool]]]:
+    """Rows 1..n-1 of the circuit of ``o``, derived a block at a time into one reused buffer.
+
+    A block is ``height`` rows, the first ``width`` segments wide, laid out
+    as a ``height`` x ``width`` array: row j holds width - j segments, then j
+    cells past its end.  It comes with a view of those cells, read from the
+    last column back: the lower triangle, diagonal included, of a square,
+    empty for one row.  With ``checks``, a block after the first also comes
+    with [whether its first row is entrywise <= the row before it less that
+    row's first entry], taken while that row is intact; any other with [].
+    The buffer holds two rows or ``_BLOCK_CELLS``.  A block starts at its
+    front unless the last row of the block before, which its first row is
+    derived from, lies there, as in a one-row block; then just past it.
+    """
+    width = o.n - 1
+    size = max(_BLOCK_CELLS, 2 * width)
+    cells = np.empty(size, dtype=np.int64)
+    _abs_diff_checked(o.terms, cells[:width])
+    start, narrows = 0, []
+    while True:
+        height = min(width, _block_height(width, checks), (size - start) // width)
+        block = cells[start : start + height * width].reshape(height, width)
+        row = block[0]
+        for j in range(1, height):
+            row = _derive_into(row, block[j, : width - j])
+        yield block, block[1:, : width - height : -1], narrows
+        width -= height
+        if width == 0:
+            return
+        at = start + (height - 1) * (width + height)
+        last = cells[at : at + width + 1]
+        start = 0 if at >= width else at + width + 1
+        row = _derive_into(last, cells[start : start + width])
+        if checks:
+            narrows = [bool(np.less_equal(row, last[1:]).all())]
+
+
+def _rows(o: Originator) -> Iterator[np.ndarray]:
+    """Rows 1..n-1 of the circuit of ``o``: views valid until the next block is derived."""
+    for block, _, _ in _blocks(o, checks=False):
+        width = block.shape[1]
+        for j in range(len(block)):
+            yield block[j, : width - j]
 
 
 def _require_segment(s: int, hi: int) -> None:
@@ -209,50 +251,32 @@ class _Summary(NamedTuple):
     column_argmins: list[int] | None = None
 
 
-def _block_height(width: int, checks: bool) -> int:
-    """Rows of ``width`` segments in one block: as many as fit in ``_BLOCK_CELLS``.
+def _fold_rows(stack: np.ndarray, ufunc: np.ufunc, out: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced along the first axis of ``stack``: ``stack[0]`` for one row.
 
-    At least two for the totals, which pass over a block twice.  The checks
-    pass over it about eight times, and take a wider row alone, so that each
-    pass finds the row still in cache.
+    Halves the rows with one vector op per step, written into ``out``.  Into
+    ``stack`` itself, every entry but the last is overwritten; elsewhere the
+    first step takes the middle row of an odd stack twice, so ``ufunc`` must
+    then be idempotent, as minimum is.
     """
-    return max(1 if checks else 2, _BLOCK_CELLS // width)
-
-
-def _fold_rows(stack: np.ndarray) -> np.ndarray:
-    """The sum of ``stack`` along its first axis, added into ``stack[0]``.
-
-    Halves the stack with one vector add per step; every entry but the last
-    is overwritten.
-    """
-    r = len(stack)
+    rows, r = stack, len(stack)
     while r > 1:
-        h = r // 2
-        np.add(stack[:h], stack[r - h : r], out=stack[:h])
-        r -= h
-    return stack[0]
+        h = r // 2 if rows is out else (r + 1) // 2
+        ufunc(rows[:h], rows[r - h : r], out=out[:h])
+        rows, r = out, (r + 1) // 2
+    return rows[0]
 
 
 def _summarize_rows(o: Originator, checks: bool) -> _Summary:
-    """The summary of rows 1..n-1 of the circuit of ``o``, derived a block at a time.
+    """The summary of rows 1..n-1 of the circuit of ``o``, read off ``_blocks``.
 
-    A block is ``height`` rows of the circuit, the first one ``width``
-    segments wide, laid out as a ``height`` x ``width`` array in one reused
-    buffer; row j of it holds width - j segments and j cells past its end.
-    Those cells are set to ``I64_MAX`` for the minima, then to 0 for the
-    maxima, the narrowing and the sums, so each field takes one reduction
-    over the block.  A block's first row is derived from the last row of the
-    block before it, so a block starts at the front of the buffer unless
-    that row lies there, as a block of one row does; it then starts just
-    past that row.  The buffer holds two rows or ``_BLOCK_CELLS``.  Without
-    ``checks`` only the totals are read, and no check buffer is made.
+    The cells past the rows' ends are set to ``I64_MAX`` for the minima,
+    then to 0 for the maxima, the narrowing and the sums, so each field
+    takes one reduction over the block.  Without ``checks`` only the totals
+    are read, and no check buffer is made.
     """
     width = o.n - 1
-    size = max(_BLOCK_CELLS, 2 * width)
-    cells = np.empty(size, dtype=np.int64)
-    # No entry exceeds row 1's maximum, and no total holds more than n - 1
-    # entries: within that bound no int64 sum wraps.
-    exact = int(_abs_diff_checked(o.terms, cells[:width]).max()) * width <= I64_MAX
+    size = max(_BLOCK_CELLS, 2 * width)  # no block holds more cells
     # Row 0 holds the high limbs of the traces, row 1 the low limbs.
     columns = np.zeros((2, width), dtype=np.int64)
     limbs = None
@@ -263,37 +287,22 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
         )
         column_minima = np.full(width, I64_MAX, dtype=np.int64)
         column_argmins = np.ones(width, dtype=np.int64)
-        block_minima = np.empty(width, dtype=np.int64)
+        folded = np.empty(size, dtype=np.int64)
         flags = np.empty(size, dtype=bool)
     # A block of two rows or more fits in _BLOCK_CELLS, and holds no more
     # rows than its width: its height squared fits too.
     tril = np.tri(math.isqrt(_BLOCK_CELLS), dtype=bool)
-    k, start = 1, 0
-    while True:
-        height = min(width, _block_height(width, checks), (size - start) // width)
-        block = cells[start : start + height * width].reshape(height, width)
-        for j in range(1, height):
-            at = start + (j - 1) * width
-            _derive_into(cells[at : at + width - j + 1], cells[at + width : at + 2 * width - j])
-        if height > 1:
-            # The cells past the rows' ends: read from row 1's first one on
-            # with a row stride of width - 1, they are the lower triangle,
-            # diagonal included, of a square.
-            ends = np.ndarray(
-                (height - 1, height - 1),
-                np.int64,
-                cells,
-                8 * (start + 2 * width - 1),
-                (8 * (width - 1), 8),
-            )
-            ends_mask = tril[: height - 1, : height - 1]
+    k = 1
+    for block, ends, narrows in _blocks(o, checks):
+        height, width = block.shape
+        if k == 1:
+            # No total adds more than n - 1 entries, none above row 1's maximum.
+            exact = int(block[0].max()) * width <= I64_MAX
+        ends_mask = tril[: height - 1, : height - 1]
         if checks:
-            if height > 1:
-                np.copyto(ends, I64_MAX, where=ends_mask)
+            np.copyto(ends, I64_MAX, where=ends_mask)
             row_minima += np.minimum.reduce(block, axis=1).tolist()
-            least = (
-                block[0] if height == 1 else np.minimum.reduce(block, axis=0, out=block_minima[:width])
-            )
+            least = _fold_rows(block, np.minimum, folded[: block.size].reshape(block.shape))
             improved = np.less(least, column_minima[:width], out=flags[:width])
             if improved.any():
                 cols = np.flatnonzero(improved)
@@ -302,8 +311,7 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
                 np.equal(block, least, out=reached)
                 column_argmins[cols] = reached[:, cols].argmax(axis=0) + k
                 column_minima[cols] = least[cols]
-        if height > 1:
-            np.copyto(ends, 0, where=ends_mask)
+        np.copyto(ends, 0, where=ends_mask)
         if checks or not exact:
             maxima = np.maximum.reduce(block, axis=1).tolist()
         if checks:
@@ -311,17 +319,17 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
             firsts += block[:, 0].tolist()
             lasts += block[:, ::-1].diagonal().tolist()
             second_lasts += block[:, -2::-1].diagonal().tolist()
-            if height > 1:
-                pairs = flags[: (height - 1) * (width - 1)].reshape(height - 1, width - 1)
-                np.less_equal(block[1:, :-1], block[:-1, 1:], out=pairs)
-                narrowing += np.logical_and.reduce(pairs, axis=1).tolist()
+            narrowing += narrows
+            pairs = flags[: (height - 1) * (width - 1)].reshape(height - 1, width - 1)
+            np.less_equal(block[1:, :-1], block[:-1, 1:], out=pairs)
+            narrowing += np.logical_and.reduce(pairs, axis=1).tolist()
         if exact or maxima[0] <= _LOW_MASK:
             # The block is its own low limb and its high limb is all 0s, or
             # its sums are proved to fit.  The fold comes last: it
             # overwrites all rows but the last.
             row_sums += np.add.reduce(block, axis=1).tolist()
             low = columns[1, :width]
-            np.add(low, _fold_rows(block), out=low)
+            np.add(low, _fold_rows(block, np.add, block), out=low)
         else:
             if limbs is None:
                 limbs = np.empty(2 * size, dtype=np.int64)
@@ -331,17 +339,8 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
             np.bitwise_and(block, _LOW_MASK, out=pair[:, 1])
             row_sums += [(h << _LIMB_BITS) + l for h, l in np.add.reduce(pair, axis=2).tolist()]
             both = columns[:, :width]
-            np.add(both, _fold_rows(pair), out=both)
+            np.add(both, _fold_rows(pair, np.add, pair), out=both)
         k += height
-        width -= height
-        if width == 0:
-            break
-        at = start + (height - 1) * (width + height)
-        last = cells[at : at + width + 1]
-        start = 0 if at >= width else at + width + 1
-        row = _derive_into(last, cells[start : start + width])
-        if checks:
-            narrowing.append(bool(np.less_equal(row, last[1:], out=flags[:width]).all()))
     traces = columns[1].tolist()
     if limbs is not None:  # else no block took the limb path: every high limb is 0
         traces = [(high << _LIMB_BITS) + low for high, low in zip(columns[0].tolist(), traces)]

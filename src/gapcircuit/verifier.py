@@ -18,9 +18,11 @@ from the last term of the window before.  Three parts scan it.
 The queue, ``_tiles``, hands out row 1 in column tiles.  Entry j of row k
 depends only on entries j..j+k-1 of row 1, so a tile with a halo of
 D = min(scan_depth, n - 1) extra columns derives rows 1..D by itself, and
-is handed out as soon as its columns and halo have arrived.  The columns
-that wait are queued chunk by chunk, each narrowed to the dtype of its own
-maximum, so they take a byte or two each, not eight.
+is handed out as soon as its columns and halo have arrived.  The queue
+ends with the first tile that reaches the end of row 1, since every later
+tile would lie inside its columns.  The columns that wait are queued chunk
+by chunk, each narrowed to the dtype of its own maximum, so they take a
+byte or two each, not eight.
 
 The tile scan, ``_scan_tile``, derives one tile and returns its record.  It
 starts in the narrowest signed dtype that holds the tile's row-1 maximum:
@@ -145,14 +147,16 @@ def _tiles(chunks: Iterator[np.ndarray], columns: int, halo: int) -> Iterator[tu
     """Row 1, read in chunks, as tiles ``(lo, row 1's columns lo .. lo + columns + halo - 1)``.
 
     The entries stop at the end of row 1, and the next tile starts at
-    lo + ``columns``.  Chunks are read only as tiles need them.  With
-    ``columns`` 0 every tile is the one all-halo tile, so a reader takes one.
+    lo + ``columns``.  The queue ends with the first tile that reaches the
+    end of row 1, since any later tile would lie inside its columns.  Chunks
+    are read only as tiles need them: until one entry past a tile has
+    arrived, which tells that the tile does not reach that end.
     """
     pending = np.empty(0, dtype=np.int64)  # row 1 from column lo on
     lo = 0
     ended = False
     while True:
-        while not ended and pending.size < columns + halo:
+        while not ended and pending.size <= columns + halo:
             chunk = next(chunks, None)
             if chunk is None:
                 ended = True
@@ -161,9 +165,10 @@ def _tiles(chunks: Iterator[np.ndarray], columns: int, halo: int) -> Iterator[tu
                 chunk = chunk.astype(_narrowest_dtype(int(chunk.max())), copy=False)
                 pending = np.concatenate((pending, chunk)) if pending.size else chunk
                 del chunk  # dropped before the next chunk is read
-        if pending.size == 0:
+        if pending.size:
+            yield lo, pending[: columns + halo]
+        if pending.size <= columns + halo:  # this tile reached the end of row 1
             return
-        yield lo, pending[: columns + halo]
         pending = pending[columns:]
         lo += columns
 

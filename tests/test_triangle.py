@@ -496,7 +496,7 @@ class TestStreamedTally:
     def test_reads_match_circuit_on_overflow_inputs(self, terms):
         self.assert_reads_agree(terms)
 
-    def test_rows_stream_in_two_buffers(self):
+    def test_rows_stream_in_one_buffer(self):
         rows = _rows(PRIMES5)
         bases = set()
         got = []
@@ -504,7 +504,7 @@ class TestStreamedTally:
             got.append(row.tolist())
             bases.add(id(row.base if row.base is not None else row))
         assert got == [[1, 2, 2, 4], [1, 0, 2], [1, 2], [1]]
-        assert len(bases) == 2
+        assert len(bases) == 1
 
 
 def terms_at_bound(total):
@@ -648,6 +648,42 @@ class TestBlockPass:
         # As many rows as fit in _BLOCK_CELLS, and the least height when fewer do.
         height = triangle._block_height(width, checks)
         assert height * width <= max(triangle._BLOCK_CELLS, least * width) < (height + 1) * width
+
+
+class TestSmallBlocks:
+    """The block stream with ``_BLOCK_CELLS`` cut to 4..64 cells, read by the
+    summary and by the rows: rows wider than half a block leave the buffer
+    two rows long, so a block must fit in what is left of it."""
+
+    @given(
+        st.one_of(
+            terms_strategy,
+            edge_terms_strategy,
+            terms_at_bound(I64_MAX + 1),
+            st.tuples(st.integers(-(2**63), I64_MAX), st.integers(2, 20)).map(
+                lambda c: [c[0]] * c[1]
+            ),
+        ),
+        st.integers(4, 64),
+    )
+    @example(oracle.first_primes(12), 4)
+    @example(oracle.first_primes(40), 17)
+    @example([0, 2**62, 0, 2**62, 0], 5)
+    @example([0, 2**63 - 1, -1], 4)
+    @settings(max_examples=300)
+    def test_matches_oracle(self, terms, cells):
+        o = Originator(terms)
+        with mock.patch.object(triangle, "_BLOCK_CELLS", cells):
+            if max(oracle.triangle_rows(terms)[0]) > I64_MAX:
+                for checks in (False, True):
+                    with pytest.raises(Int64OverflowError):
+                        _summarize_rows(o, checks)
+                with pytest.raises(Int64OverflowError):
+                    next(_rows(o))
+                return
+            for checks in (False, True):
+                assert _summarize_rows(o, checks) == oracle_summary(terms, checks)
+            assert [row.tolist() for row in _rows(o)] == oracle.triangle_rows(terms)
 
 
 class TestCircuitCellLimit:

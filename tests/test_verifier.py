@@ -238,7 +238,8 @@ class TestTiledFrontier:
         assert verify_frontier(Originator(terms)).stabilization_row == 49
         # a tile's row k is k - 1 columns short of its row 1, so each tile's
         # derived rows run down by one from its width less one
-        widths = [min(64 + 500, 999 - lo) for lo in range(0, 999, 64)]
+        # up to tile 448, the first whose columns and halo reach column 998
+        widths = [min(64 + 500, 999 - lo) for lo in range(0, 999 - 500, 64)]
         rows, at = [], 0
         for w in widths:
             k = 1
@@ -248,10 +249,8 @@ class TestTiledFrontier:
         assert at == len(derived)
         # the region a tile stops on; tile 0's leaves out the leader
         settled = [w - k + 1 - (t == 0) for t, (w, k) in enumerate(zip(widths, rows))]
-        assert settled == [
-            515, 516, 541, 541, 541, 541, 525, 512, 448, 384, 320, 256, 192, 128, 72, 8
-        ]
-        assert rows == [49, 49, 24, 24, 24, 24, 40, 40, 40, 40, 40, 40, 40, 40, 32, 32]
+        assert settled == [515, 516, 541, 541, 541, 541, 525, 512]
+        assert rows == [49, 49, 24, 24, 24, 24, 40, 40]
         early = [k for k in rows[1:] if k < 49]
         assert early and all(k % verifier.SETTLE_EVERY == 0 for k in early)
         assert _streamed(terms, sizes=(37,))[0].stabilization_row == 49
@@ -765,7 +764,8 @@ class TestTileRecords:
                 certificate = max(certificate, record.stop)
         last = tiles[-1][3]
         if last.stop is not None:
-            assert len(tiles) == -(-(n - 1) // tile)
+            # the queue ends with the first tile whose columns and halo reach row 1's end
+            assert len(tiles) == max(1, -(-(n - 1 - scan_depth) // tile))
             assert report.stabilization_row == certificate and not sweeps
         elif last.failure is not None:
             assert report.first_failure == last.failure and not sweeps

@@ -48,7 +48,11 @@ SCAN_TESTS = tuple(
     for name in ("TestTiledFrontier", "TestStreamedFrontier", "TestTileRecords")
 )
 SWEEP_TESTS = ("tests/test_verifier.py::TestNaiveSweep", "tests/test_verifier.py::TestTileRecords")
-TRIANGLE_TESTS = ("tests/test_triangle.py",)
+# The summary's mutants run the classes that compare the block pass with the oracle.
+SUMMARY_TESTS = tuple(
+    f"tests/test_triangle.py::{name}" for name in ("TestBlockPass", "TestSummary", "TestSmallBlocks")
+)
+CHECK_WRITER_TESTS = ("tests/test_cli.py::TestCheckColumns",)
 BOUNDS_TESTS = ("tests/test_bounds.py",)
 
 MUTANTS = (
@@ -151,17 +155,6 @@ MUTANTS = (
         SWEEP_TESTS,
     ),
     Mutant(
-        "the naive sweep goes on past its one tile",
-        "src/gapcircuit/verifier.py",
-        "        tile = next(_tiles(_row1_chunks(read(), [0]), 0, n - 1))\n"
-        "        first_failure = _scan_tile(tile, n - 1, None, leaders=True).failure\n",
-        "        for tile in _tiles(_row1_chunks(read(), [0]), TILE_COLUMNS, n - 1):\n"
-        "            first_failure = first_failure or _scan_tile(\n"
-        "                tile, n - 1, None, tile[0] == 0\n"
-        "            ).failure\n",
-        SWEEP_TESTS,
-    ),
-    Mutant(
         "less for less_equal in the narrowest dtype",
         "src/gapcircuit/verifier.py",
         "if bound <= top:",
@@ -196,6 +189,13 @@ MUTANTS = (
         "if cells > limit:",
         "if cells >= limit:",
         ("tests/test_verifier.py::TestSweepGuard",),
+    ),
+    Mutant(
+        "the tile queue goes on past the tile that reaches row 1's end",
+        "src/gapcircuit/verifier.py",
+        "if pending.size <= columns + halo:  # this tile reached the end of row 1",
+        "if pending.size == 0:",
+        SCAN_TESTS,
     ),
     Mutant(
         "verify --method naive keeps its scan depth",
@@ -247,7 +247,28 @@ MUTANTS = (
         "src/gapcircuit/cli.py",
         '"%-8s " + text, (0, *order)',
         '"%-8s " + text, (0, *order[::-1])',
-        ("tests/test_cli.py::TestCheckColumns",),
+        CHECK_WRITER_TESTS,
+    ),
+    Mutant(
+        "check's templates keep a literal % unescaped",
+        "src/gapcircuit/cli.py",
+        'text = text.replace("%", "%%")',
+        "pass",
+        CHECK_WRITER_TESTS,
+    ),
+    Mutant(
+        "check's rows all take the witness count of their record's first row",
+        "src/gapcircuit/cli.py",
+        "else map(len, r.witnesses)",
+        "else repeat(len(r.witnesses[0]), len(r.lhs))",
+        CHECK_WRITER_TESTS,
+    ),
+    Mutant(
+        "check's slices not bounded by JSON_BATCH_CHUNKS",
+        "src/gapcircuit/cli.py",
+        "yield slice(first, min(first + JSON_BATCH_CHUNKS, stop)), shape",
+        "yield slice(first, stop), shape",
+        CHECK_WRITER_TESTS,
     ),
     Mutant(
         "equality counted as failed",
@@ -296,28 +317,63 @@ MUTANTS = (
         "src/gapcircuit/triangle.py",
         "np.less_equal(block[1:, :-1], block[:-1, 1:], out=pairs)",
         "np.less(block[1:, :-1], block[:-1, 1:], out=pairs)",
-        TRIANGLE_TESTS,
+        SUMMARY_TESTS,
     ),
     Mutant(
         "less_equal for less in the column-minimum update",
         "src/gapcircuit/triangle.py",
         "improved = np.less(least, column_minima[:width]",
         "improved = np.less_equal(least, column_minima[:width]",
-        TRIANGLE_TESTS,
+        SUMMARY_TESTS,
     ),
     Mutant(
         "the last entry read for the second-to-last",
         "src/gapcircuit/triangle.py",
         "second_lasts += block[:, -2::-1].diagonal()",
         "second_lasts += block[:, ::-1].diagonal()",
-        TRIANGLE_TESTS,
+        SUMMARY_TESTS,
     ),
     Mutant(
         "column argmins counted from 0",
         "src/gapcircuit/triangle.py",
         "reached[:, cols].argmax(axis=0) + k",
         "reached[:, cols].argmax(axis=0) + k - 1",
-        TRIANGLE_TESTS,
+        SUMMARY_TESTS,
+    ),
+    Mutant(
+        "a block's height not cut to what is left of the buffer",
+        "src/gapcircuit/triangle.py",
+        "_block_height(width, checks), (size - start) // width)",
+        "_block_height(width, checks))",
+        SUMMARY_TESTS,
+    ),
+    Mutant(
+        "a block's first row always narrows the row before it",
+        "src/gapcircuit/triangle.py",
+        "narrows = [bool(np.less_equal(row, last[1:]).all())]",
+        "narrows = [True]",
+        SUMMARY_TESTS,
+    ),
+    Mutant(
+        "the view of the cells past the rows' ends one column off",
+        "src/gapcircuit/triangle.py",
+        "block[1:, : width - height : -1]",
+        "block[1:, -2 : width - height - 1 : -1]",
+        SUMMARY_TESTS,
+    ),
+    Mutant(
+        "the column-minimum fold drops the middle row of an odd block",
+        "src/gapcircuit/triangle.py",
+        "h = r // 2 if rows is out else (r + 1) // 2",
+        "h = r // 2",
+        SUMMARY_TESTS,
+    ),
+    Mutant(
+        "the row stream yields each block's rows uncut",
+        "src/gapcircuit/triangle.py",
+        "yield block[j, : width - j]",
+        "yield block[j]",
+        ("tests/test_triangle.py::TestSmallBlocks",),
     ),
 )
 
