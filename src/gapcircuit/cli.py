@@ -322,12 +322,13 @@ def _spelled(value, none: str):
     return _SCALARS[bool](value) if isinstance(value, bool) else value
 
 
-def _input_source(args: argparse.Namespace, limit: Callable[[int], object] | None = None) -> str:
+def _input_source(args: argparse.Namespace, limit: Callable[..., object] | None = None) -> str:
     """The one input source given: "primes", "limit", "file" or "n".
 
     ``limit``, which raises for a count of terms over the command's limit,
-    checks ``--primes N`` and ``--n N`` for N >= 2 here, before a prime is
-    sieved or a walk is drawn, and after the walk's own parameters.
+    meets the input here, before any term is made and after the walk's own
+    parameters: N for ``--primes N`` and ``--n N``, and for ``--limit L`` a
+    proven lower bound on the primes up to L, with "at least " for its message.
     """
     chosen = [name for name in ("primes", "limit", "file", "n") if getattr(args, name) is not None]
     if (args.n is None) != (args.gmax is None):
@@ -337,45 +338,47 @@ def _input_source(args: argparse.Namespace, limit: Callable[[int], object] | Non
             "choose exactly one input source: --primes, --limit, --file, or --n/--gmax"
         )
     source = chosen[0]
-    if limit and source in ("primes", "n"):
-        count = args.primes if source == "primes" else RandomModel(args.n, args.gmax, args.seed).n
+    if limit and source != "file":
+        count, at_least = args.primes, ""
+        if source == "limit":
+            count, at_least = sieve.prime_count_lower_bound(args.limit), "at least "
+        elif source == "n":
+            count = RandomModel(args.n, args.gmax, args.seed).n
         if count > 1:
-            limit(count)
+            limit(count, at_least)
     return source
 
 
 def _resolve_originator(
     args: argparse.Namespace, limit: Callable[..., object] | None = None
 ) -> Originator:
-    """The input's originator, held; ``limit`` as for ``_input_source``.
+    """The input's originator, held, after ``_input_source(args, limit)``.
 
-    ``limit`` also meets a proven lower bound on the count of primes up to
-    ``--limit L``, called with the words "at least " for its message, before
-    they are sieved; the caller checks the exact count after.
+    With ``limit``, the held input must then have two terms or more, and
+    ``limit`` meets its exact count, which ``--limit L`` and ``--file`` give
+    only now.
     """
     source = _input_source(args, limit)
     if source == "primes":
-        return first_n_primes(args.primes)
-    if source == "limit":
-        fewest = sieve.prime_count_lower_bound(args.limit)
-        if limit and fewest > 1:
-            limit(fewest, "at least ")
-        return primes_up_to(args.limit)
-    if source == "file":
+        o = first_n_primes(args.primes)
+    elif source == "limit":
+        o = primes_up_to(args.limit)
+    elif source == "file":
         try:
-            return load_sequence(Path(args.file))
+            o = load_sequence(Path(args.file))
         except OSError as exc:
             raise UsageError(f"cannot read sequence file: {exc}") from None
-    return random_generalized(RandomModel(args.n, args.gmax, args.seed))
-
-
-def _require_two_terms(o: Originator) -> None:
-    if o.n < 2:
-        raise UsageError(f"a triangle needs at least two terms, got {o.n}")
+    else:
+        o = random_generalized(RandomModel(args.n, args.gmax, args.seed))
+    if limit:
+        if o.n < 2:
+            raise UsageError(f"a triangle needs at least two terms, got {o.n}")
+        limit(o.n)
+    return o
 
 
 def _streamed_circuit(args: argparse.Namespace) -> _StreamedCircuit:
-    """The input's circuit as streamed rows, refused above ``SWEEP_CELL_LIMIT`` cells."""
+    """The input's circuit as streamed rows, refused above ``SWEEP_CELL_LIMIT`` cells before one."""
 
     def cells(n: int, at_least: str = "") -> int:
         refusal = (
@@ -384,10 +387,7 @@ def _streamed_circuit(args: argparse.Namespace) -> _StreamedCircuit:
         )
         return _triangle_cells(n, SWEEP_CELL_LIMIT, refusal)
 
-    o = _resolve_originator(args, cells)
-    _require_two_terms(o)
-    cells(o.n)
-    return _StreamedCircuit(o)
+    return _StreamedCircuit(_resolve_originator(args, cells))
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:
@@ -398,8 +398,6 @@ def cmd_triangle(args: argparse.Namespace) -> int:
             )
 
     o = _resolve_originator(args, capped)
-    _require_two_terms(o)
-    capped(o.n)
     rows = _rows(o)
     first = next(rows)  # the one derivation that can overflow, before a byte is written
     # Every format reads the one stream of rows, each row listed as it is written.

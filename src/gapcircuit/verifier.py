@@ -208,11 +208,11 @@ def _scan_tile(tile: tuple, depth: int, certificate: int | None, leaders: bool) 
         k += 1
 
 
-def _sweep_cells(n: int) -> int:
+def _sweep_cells(n: int, at_least: str = "") -> int:
     """The cells of the naive sweep of n terms, or ``RangeError`` above ``SWEEP_CELL_LIMIT``."""
     refusal = (
-        "the naive sweep of {n} terms would derive {cells} cells, over the limit "
-        "of {limit}; use --method frontier with a larger --scan-depth"
+        f"the naive sweep of {at_least}{{n}} terms would derive {at_least}{{cells}} cells, "
+        "over the limit of {limit}; use --method frontier with a larger --scan-depth"
     )
     return _triangle_cells(n, SWEEP_CELL_LIMIT, refusal)
 

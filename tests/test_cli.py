@@ -409,6 +409,10 @@ AT_LEAST_CELLS = (
 )
 
 
+# The cells of the naive sweep of 620 420 terms, the bound on the primes up to 10^7.
+NAIVE_BOUND_CELLS = 620420 * 620419 // 2
+
+
 class TestLimitRefusedBeforeSieving:
     """``--limit L`` meets the command's limit on a proven lower bound on the
     count of primes up to L before a prime is sieved, and on the count after."""
@@ -422,8 +426,14 @@ class TestLimitRefusedBeforeSieving:
             ),
             (["stats", "--limit", "300000000"], AT_LEAST_CELLS),
             (["check", "--limit", "300000000"], AT_LEAST_CELLS),
+            (
+                ["verify", "--limit", "300000000", "--method", "naive"],
+                "the naive sweep of at least 15369409 terms would derive at least "
+                "118109358819936 cells, over the limit of 17179869184; use --method "
+                "frontier with a larger --scan-depth",
+            ),
         ],
-        ids=["triangle", "stats", "check"],
+        ids=["triangle", "stats", "check", "verify"],
     )
     def test_refused_unsieved(self, capsys, monkeypatch, argv, message):
         def sieved(*args):
@@ -464,18 +474,31 @@ class TestLimitRefusedBeforeSieving:
                 "the triangle of 9592 terms would derive 45998436 cells, over the limit of "
                 "40495500",
             ),
+            (
+                ["verify", "--limit", "100000", "--method", "naive"],
+                "the naive sweep of 9592 terms would derive 45998436 cells, over the limit of "
+                "40495500; use --method frontier with a larger --scan-depth",
+            ),
         ],
-        ids=["triangle", "stats"],
+        ids=["triangle", "stats", "verify"],
     )
     def test_bound_within_the_limit_leaves_the_exact_count(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(cli, "SWEEP_CELL_LIMIT", 9000 * 8999 // 2)
+        monkeypatch.setattr(verifier, "SWEEP_CELL_LIMIT", 9000 * 8999 // 2)
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
-    def test_verify_counts_exactly(self, capsys):
-        # the naive sweep reads the windows and counts them, so its refusal
-        # names the exact count whatever the bound
-        code, _, err = run_cli(capsys, "verify", "--limit", "10000000", "--method", "naive")
-        assert code == 2 and "naive sweep of 664579 terms" in err
+    def test_verify_counts_exactly(self, capsys, monkeypatch):
+        # The limit admits the bound's 620 420 terms, inclusive, but not the
+        # 664 579 primes up to 10^7: the naive sweep reads the windows and
+        # counts them, and its refusal names the exact count.
+        monkeypatch.setattr(verifier, "SWEEP_CELL_LIMIT", NAIVE_BOUND_CELLS)
+        assert run_cli(capsys, "verify", "--limit", "10000000", "--method", "naive") == (
+            2,
+            "",
+            "error: the naive sweep of 664579 terms would derive 220832291331 cells, over "
+            f"the limit of {NAIVE_BOUND_CELLS}; use --method frontier with a larger "
+            "--scan-depth\n",
+        )
 
 
 class TestStreamedTriangle:
@@ -1009,8 +1032,10 @@ class TestStreamedVerify:
             '  "stabilization_row": null\n}\n'
         )
 
-    def test_naive_refused_after_counting_a_window_at_a_time(self, capsys):
-        # 664 579 primes would take 5 MB held, and their row 1 as much again
+    def test_naive_refused_after_counting_a_window_at_a_time(self, capsys, monkeypatch):
+        # 664 579 primes would take 5 MB held, and their row 1 as much again;
+        # the limit admits the bound on them, so they are counted first
+        monkeypatch.setattr(verifier, "SWEEP_CELL_LIMIT", NAIVE_BOUND_CELLS)
         tracemalloc.start()
         try:
             code = main(["verify", "--limit", "10000000", "--method", "naive"])

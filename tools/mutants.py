@@ -53,6 +53,8 @@ SUMMARY_TESTS = tuple(
     f"tests/test_triangle.py::{name}" for name in ("TestBlockPass", "TestSummary", "TestSmallBlocks")
 )
 CHECK_WRITER_TESTS = ("tests/test_cli.py::TestCheckColumns",)
+JSON_WRITER_TESTS = ("tests/test_cli.py::TestJsonWriter",)
+RANDOM_STREAM_TESTS = ("tests/test_originator.py::TestRandomStream",)
 BOUNDS_TESTS = ("tests/test_bounds.py",)
 
 MUTANTS = (
@@ -207,23 +209,37 @@ MUTANTS = (
     Mutant(
         "--primes N sieved before its count is checked",
         "src/gapcircuit/cli.py",
-        "count = args.primes if",
-        "count = 0 if",
+        'count, at_least = args.primes, ""',
+        'count, at_least = 0, ""',
         ("tests/test_cli.py::TestCountRefusedBeforeSieving",),
     ),
     Mutant(
         "--limit L sieved before its bound is checked",
         "src/gapcircuit/cli.py",
-        "if limit and fewest > 1:",
-        "if False:",
+        'count, at_least = sieve.prime_count_lower_bound(args.limit), "at least "',
+        'count, at_least = 0, "at least "',
         ("tests/test_cli.py::TestLimitRefusedBeforeSieving",),
     ),
     Mutant(
         "--n N drawn before its count is checked",
         "src/gapcircuit/cli.py",
-        'if limit and source in ("primes", "n"):',
-        'if limit and source in ("primes",):',
+        "count = RandomModel(args.n, args.gmax, args.seed).n",
+        "count = RandomModel(args.n, args.gmax, args.seed).n and 0",
         ("tests/test_cli.py::TestWalkCountRefusedBeforeDrawing",),
+    ),
+    Mutant(
+        "verify --method naive sieves --limit L before its bound is checked",
+        "src/gapcircuit/cli.py",
+        "_input_source(args, _sweep_cells if naive else None)",
+        "_input_source(args, _sweep_cells if naive and args.limit is None else None)",
+        ("tests/test_cli.py::TestLimitRefusedBeforeSieving::test_refused_unsieved",),
+    ),
+    Mutant(
+        "a held input's exact count left unchecked",
+        "src/gapcircuit/cli.py",
+        "        limit(o.n)\n",
+        "",
+        ("tests/test_cli.py::TestLimitRefusedBeforeSieving",),
     ),
     Mutant(
         "triangle's row 1 derived after json and csv start writing",
@@ -241,6 +257,20 @@ MUTANTS = (
         "(o.terms.min(), o.terms.max(), first.max())",
         "(o.terms.min(), o.terms.max())",
         ("tests/test_cli.py::TestTriangleCommand",),
+    ),
+    Mutant(
+        "a wrong separator between the JSON batches of a flat list",
+        "src/gapcircuit/cli.py",
+        "[1:-1])\n                    separator = \",\" + inner",
+        "[1:-1])\n                    separator = inner",
+        JSON_WRITER_TESTS,
+    ),
+    Mutant(
+        "a list of lists sent to the C encoder",
+        "src/gapcircuit/cli.py",
+        "if value and _SCALAR_TYPES.issuperset(map(type, value)):",
+        "if value:",
+        JSON_WRITER_TESTS,
     ),
     Mutant(
         "check's text slots filled in reverse order",
@@ -269,6 +299,34 @@ MUTANTS = (
         "yield slice(first, min(first + JSON_BATCH_CHUNKS, stop)), shape",
         "yield slice(first, stop), shape",
         CHECK_WRITER_TESTS,
+    ),
+    Mutant(
+        "SplitMix64's last xor-shift 31, not 33",
+        "src/gapcircuit/originator.py",
+        "z ^= z >> np.uint64(33)",
+        "z ^= z >> np.uint64(31)",
+        RANDOM_STREAM_TESTS,
+    ),
+    Mutant(
+        "the draw counter starting at start, not start + 1",
+        "src/gapcircuit/originator.py",
+        "np.arange(start + 1, start + count + 1,",
+        "np.arange(start, start + count,",
+        RANDOM_STREAM_TESTS,
+    ),
+    Mutant(
+        "the draws above the last whole cycle kept",
+        "src/gapcircuit/originator.py",
+        "if int(block.max()) > top:",
+        "if False:",
+        RANDOM_STREAM_TESTS,
+    ),
+    Mutant(
+        "the fast line pattern takes 19 digits",
+        "src/gapcircuit/originator.py",
+        r"[+-]?[0-9]{1,18}(?:[\s,]+[+-]?[0-9]{1,18})*",
+        r"[+-]?[0-9]{1,19}(?:[\s,]+[+-]?[0-9]{1,19})*",
+        ("tests/test_originator.py::TestSequenceTextFastPath",),
     ),
     Mutant(
         "equality counted as failed",
