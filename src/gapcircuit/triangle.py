@@ -89,56 +89,45 @@ def _derive_into(row: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_height(width: int, checks: bool) -> int:
+def _block_height(width: int) -> int:
     """Rows of ``width`` segments in one block: as many as fit in ``_BLOCK_CELLS``.
 
-    At least two for the totals, which pass over a block twice.  The checks
-    pass over it about eight times, and take a wider row alone, so that each
-    pass finds the row still in cache.
+    At least two, so that a block's last row lies past the buffer's first
+    ``width`` cells, where the next block's first row is derived from it.
     """
-    return max(1 if checks else 2, _BLOCK_CELLS // width)
+    return max(2, _BLOCK_CELLS // width)
 
 
-def _blocks(o: Originator, checks: bool) -> Iterator[tuple[np.ndarray, np.ndarray, list[bool]]]:
+def _blocks(o: Originator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Rows 1..n-1 of the circuit of ``o``, derived a block at a time into one reused buffer.
 
     A block is ``height`` rows, the first ``width`` segments wide, laid out
-    as a ``height`` x ``width`` array: row j holds width - j segments, then j
-    cells past its end.  It comes with a view of those cells, read from the
-    last column back: the lower triangle, diagonal included, of a square,
-    empty for one row.  With ``checks``, a block after the first also comes
-    with [whether its first row is entrywise <= the row before it less that
-    row's first entry], taken while that row is intact; any other with [].
-    The buffer holds two rows or ``_BLOCK_CELLS``.  A block starts at its
-    front unless the last row of the block before, which its first row is
-    derived from, lies there, as in a one-row block; then just past it.
+    as a ``height`` x ``width`` array at the front of the buffer: row j holds
+    width - j segments, then j cells past its end.  It comes with a view of
+    those cells, read from the last column back: the lower triangle,
+    diagonal included, of a square.  The buffer holds two rows or
+    ``_BLOCK_CELLS``.  A reader may overwrite any cell of a block but the
+    segments of its last row, which the next block's first row is derived
+    from.
     """
     width = o.n - 1
-    size = max(_BLOCK_CELLS, 2 * width)
-    cells = np.empty(size, dtype=np.int64)
-    _abs_diff_checked(o.terms, cells[:width])
-    start, narrows = 0, []
+    cells = np.empty(max(_BLOCK_CELLS, 2 * width), dtype=np.int64)
+    row = _abs_diff_checked(o.terms, cells[:width])
     while True:
-        height = min(width, _block_height(width, checks), (size - start) // width)
-        block = cells[start : start + height * width].reshape(height, width)
-        row = block[0]
+        height = min(width, _block_height(width))
+        block = cells[: height * width].reshape(height, width)
         for j in range(1, height):
             row = _derive_into(row, block[j, : width - j])
-        yield block, block[1:, : width - height : -1], narrows
+        yield block, block[1:, : width - height : -1]
         width -= height
         if width == 0:
             return
-        at = start + (height - 1) * (width + height)
-        last = cells[at : at + width + 1]
-        start = 0 if at >= width else at + width + 1
-        row = _derive_into(last, cells[start : start + width])
-        if checks:
-            narrows = [bool(np.less_equal(row, last[1:]).all())]
+        row = _derive_into(row, cells[:width])
 
 
 def _rows(o: Originator) -> Iterator[np.ndarray]:
     """Rows 1..n-1 of the circuit of ``o``: views valid until the next block is derived."""
-    for block, _, _ in _blocks(o, checks=False):
+    for block, _ in _blocks(o):
         width = block.shape[1]
         for j in range(len(block)):
             yield block[j, : width - j]
@@ -289,11 +278,12 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
         column_argmins = np.ones(width, dtype=np.int64)
         folded = np.empty(size, dtype=np.int64)
         flags = np.empty(size, dtype=bool)
-    # A block of two rows or more fits in _BLOCK_CELLS, and holds no more
-    # rows than its width: its height squared fits too.
+    # A block of three rows or more fits in _BLOCK_CELLS and holds no more
+    # rows than its width, so its height squared fits too; a block of two
+    # rows has one cell past its ends.
     tril = np.tri(math.isqrt(_BLOCK_CELLS), dtype=bool)
     k = 1
-    for block, ends, narrows in _blocks(o, checks):
+    for block, ends in _blocks(o):
         height, width = block.shape
         if k == 1:
             # No total adds more than n - 1 entries, none above row 1's maximum.
@@ -319,10 +309,14 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
             firsts += block[:, 0].tolist()
             lasts += block[:, ::-1].diagonal().tolist()
             second_lasts += block[:, -2::-1].diagonal().tolist()
-            narrowing += narrows
             pairs = flags[: (height - 1) * (width - 1)].reshape(height - 1, width - 1)
             np.less_equal(block[1:, :-1], block[:-1, 1:], out=pairs)
             narrowing += np.logical_and.reduce(pairs, axis=1).tolist()
+            # The next row narrows the last one when |d_{j+1} - d_j| <= d_{j+1}
+            # along it, that is d_j - d_{j+1} <= d_{j+1} for its nonnegative d.
+            last = block[-1, : width - height + 1]
+            rise = np.subtract(last[:-1], last[1:], out=folded[: width - height])
+            narrowing.append(bool(np.less_equal(rise, last[1:], out=flags[: rise.size]).all()))
         if exact or maxima[0] <= _LOW_MASK:
             # The block is its own low limb and its high limb is all 0s, or
             # its sums are proved to fit.  The fold comes last: it
@@ -346,6 +340,7 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
         traces = [(high << _LIMB_BITS) + low for high, low in zip(columns[0].tolist(), traces)]
     if not checks:
         return _Summary(row_sums, traces)
+    del narrowing[-1]  # row n - 1 has no next row
     return _Summary(row_sums, traces, *per_row, column_minima.tolist(), column_argmins.tolist())
 
 

@@ -26,6 +26,7 @@ from gapcircuit import (
 )
 from gapcircuit.triangle import (
     CIRCUIT_CELL_LIMIT,
+    _blocks,
     _rows,
     _StreamedCircuit,
     _Summary,
@@ -629,10 +630,12 @@ class TestBlockPass:
     @example(oracle.first_primes(9), 3, False)
     @example([0, 2**62, 0, 2**62, 0], 2, True)
     @example([0, 2**63 - 1, -1], 2, False)
+    @example([0, 2**63 - 1, 2**63 - 1, 0], 1, True)
+    @example([0, 2**63 - 1, 2**63 - 1, 0], 2, True)
     @settings(max_examples=300)
     def test_matches_oracle(self, terms, height, totals_first):
         s = streamed(terms)
-        with mock.patch.object(triangle, "_block_height", lambda width, checks: height):
+        with mock.patch.object(triangle, "_block_height", lambda width: height):
             if max(oracle.triangle_rows(terms)[0]) > I64_MAX:
                 for checks in (False, True):
                     with pytest.raises(Int64OverflowError):
@@ -643,17 +646,16 @@ class TestBlockPass:
             assert s._summary() == oracle_summary(terms, True)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 1000, triangle._BLOCK_CELLS // 2 + 1, 10**6])
-    @pytest.mark.parametrize("checks, least", [(False, 2), (True, 1)])
-    def test_block_height(self, width, checks, least):
-        # As many rows as fit in _BLOCK_CELLS, and the least height when fewer do.
-        height = triangle._block_height(width, checks)
-        assert height * width <= max(triangle._BLOCK_CELLS, least * width) < (height + 1) * width
+    def test_block_height(self, width):
+        # As many rows as fit in _BLOCK_CELLS, and two when fewer do.
+        height = triangle._block_height(width)
+        assert height * width <= max(triangle._BLOCK_CELLS, 2 * width) < (height + 1) * width
 
 
 class TestSmallBlocks:
     """The block stream with ``_BLOCK_CELLS`` cut to 4..64 cells, read by the
     summary and by the rows: rows wider than half a block leave the buffer
-    two rows long, so a block must fit in what is left of it."""
+    two rows long."""
 
     @given(
         st.one_of(
@@ -684,6 +686,26 @@ class TestSmallBlocks:
             for checks in (False, True):
                 assert _summarize_rows(o, checks) == oracle_summary(terms, checks)
             assert [row.tolist() for row in _rows(o)] == oracle.triangle_rows(terms)
+
+    @given(st.integers(4, 64), st.integers(1, 40))
+    @example(4, 1)
+    @example(64, 1)
+    @settings(max_examples=100)
+    def test_every_block_at_the_front(self, cells, wider):
+        # Rows wider than a block: every block starts at the buffer's first
+        # cell and holds two rows or more, so its last row lies past the next
+        # block's first.
+        o = Originator(oracle.first_primes(cells + 1 + wider))
+        width = o.n - 1
+        with mock.patch.object(triangle, "_BLOCK_CELLS", cells):
+            for block, _ in _blocks(o):
+                height = len(block)
+                assert block.shape[1] == width
+                assert block.ctypes.data == block.base.ctypes.data
+                assert min(width, 2) <= height <= width
+                assert height * width <= max(cells, 2 * width)
+                width -= height
+        assert width == 0
 
 
 class TestCircuitCellLimit:

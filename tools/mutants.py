@@ -399,17 +399,31 @@ MUTANTS = (
         SUMMARY_TESTS,
     ),
     Mutant(
-        "a block's height not cut to what is left of the buffer",
+        "a block of one row when a row is wider than half the buffer",
         "src/gapcircuit/triangle.py",
-        "_block_height(width, checks), (size - start) // width)",
-        "_block_height(width, checks))",
+        "return max(2, _BLOCK_CELLS // width)",
+        "return max(1, _BLOCK_CELLS // width)",
         SUMMARY_TESTS,
     ),
     Mutant(
-        "a block's first row always narrows the row before it",
+        "the last row's narrowing with its operands swapped",
         "src/gapcircuit/triangle.py",
-        "narrows = [bool(np.less_equal(row, last[1:]).all())]",
-        "narrows = [True]",
+        "np.subtract(last[:-1], last[1:], out=",
+        "np.subtract(last[1:], last[:-1], out=",
+        SUMMARY_TESTS,
+    ),
+    Mutant(
+        "the last row narrows when one entry does",
+        "src/gapcircuit/triangle.py",
+        "out=flags[: rise.size]).all())",
+        "out=flags[: rise.size]).any())",
+        SUMMARY_TESTS,
+    ),
+    Mutant(
+        "row n - 1's narrowing entry kept",
+        "src/gapcircuit/triangle.py",
+        "del narrowing[-1]",
+        "narrowing[-1]",
         SUMMARY_TESTS,
     ),
     Mutant(
