@@ -646,10 +646,23 @@ class TestBlockPass:
             assert s._summary() == oracle_summary(terms, True)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 1000, triangle._BLOCK_CELLS // 2 + 1, 10**6])
-    def test_block_height(self, width):
-        # As many rows as fit in _BLOCK_CELLS, and two when fewer do.
+    @pytest.mark.parametrize("checks, least", [(False, 2), (True, 2)])
+    def test_block_height(self, width, checks, least):
+        # As many rows as fit in _BLOCK_CELLS, and the least height when fewer
+        # do: the summary pass reads the same blocks with or without checks.
         height = triangle._block_height(width)
-        assert height * width <= max(triangle._BLOCK_CELLS, 2 * width) < (height + 1) * width
+        assert height * width <= max(triangle._BLOCK_CELLS, least * width) < (height + 1) * width
+
+        shapes = []
+
+        def first_block(o):
+            block, ends = next(_blocks(o))
+            shapes.append(block.shape)
+            yield block, ends
+
+        with mock.patch.object(triangle, "_blocks", first_block):
+            _summarize_rows(Originator(np.arange(width + 1) ** 2), checks)
+        assert shapes == [(min(width, height), width)]
 
 
 class TestSmallBlocks:
