@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Any, NamedTuple
 
@@ -577,7 +577,8 @@ def _status(met: bool, held: bool, lhs: int, rhs: int, non_strict) -> str:
 
 def is_equality_case(r: BoundReport) -> bool:
     """True for a strict comparison that failed only by landing on equality."""
-    return report_status(replace(r, precondition_met=True)) == "equality"
+    non_strict = (r.extra or {}).get("non_strict_holds", False)
+    return _status(True, r.holds, r.lhs, r.rhs, non_strict) == "equality"
 
 
 def report_status(r: BoundReport) -> str:

@@ -22,6 +22,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import cache, partial
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from . import sieve
@@ -159,115 +160,96 @@ def _slices(r: _Columns) -> Iterator[tuple[slice, tuple]]:
         start = stop
 
 
-@cache
-def _stub(shape: tuple) -> tuple[dict, Callable[[str], tuple[str, tuple[int, ...]]]]:
-    """A stub report's JSON dict of ``shape`` (see ``_slices``), and what makes its texts templates.
+# The spelling of each scalar type in a CSV extra cell.
+_CSV_SCALARS = {**_SCALARS, str: lambda value: encode_basestring_ascii(value).replace('"', '""')}
 
-    The stub is a ``BoundReport``, made once per shape, whose name index and
-    every other scalar is a distinct marker int.  The function turns a text
-    written from the stub into a ``%`` template: each marker becomes ``%d``
-    for an int or ``%s`` for a value spelled beforehand, and any other ``%``
-    is escaped.  It also gives the slots' order, in the text, as indices of
-    the columns of ``_columns``: marker m fills column m, counted from 1.
+# check's CSV columns: each one's header and its cell of a report's JSON dict.
+_CSV_CELLS = (
+    *(
+        (key, lambda r, key=key: r.get(key, ""))
+        for key in ("name", "lhs", "middle", "rhs", "holds", "precondition_met")
+    ),
+    ("witnesses", lambda r: ";".join(f"{i}:{v}" for i, v in r["witnesses"])),
+    ("extra", lambda r: json.dumps(r["extra"], separators=(",", ":")) if "extra" in r else ""),
+)
+
+
+@cache
+def _template(format: str, shape: tuple) -> tuple[str, tuple]:
+    """A ``%`` template of check's text of a report of ``shape`` (see ``_slices``), and its slots.
+
+    The format's own writer writes a stub ``BoundReport`` whose name index
+    and every other scalar is a distinct marker int; the text line's status
+    is one more.  Each marker is made with its slot, the place its column
+    comes from and its kind.  In the template each marker becomes its slot:
+    ``%d`` for an int, written as it is, ``%s`` for a value spelled
+    beforehand as its kind is, and ``%-8s`` for the status; any other ``%``
+    is escaped.  The slots, each (place, kind), come in text order:
+    ``place(r, status, rows)`` is the column of ``rows`` of the record ``r``
+    whose statuses are ``status``, and kind is None for a column written as
+    it is.
+
+    The stub's CSV quoting holds for every row: no value filled in holds a
+    comma, a quote or a line break, except a string in the extra, whose cell
+    its quoted keys always quote, and whose quotes come doubled
+    (``_CSV_SCALARS``).
     """
     name, indexed, middle, witnesses, extra = shape
     # Markers all have one number of digits, more than the JSON text of the
     # name or of any key, so no marker is inside a key or another marker.
     texts = [name, *(key for key, _ in extra or ())]
     base = 10 ** (max(map(len, map(encode_basestring_ascii, texts))) + 9)
-    slots: list[str] = []
+    slots: dict[str, tuple] = {}
 
-    def marker(kind) -> int:
-        slots.append("%d" if kind is int else "%s")
+    def marker(place, kind=int, slot="%s") -> int:
+        if kind is int:
+            kind, slot = None, "%d"
+        slots[str(base + len(slots) + 1)] = slot, place, kind
         return base + len(slots)
 
+    def field(key: str, kind=int) -> int:
+        return marker(lambda r, status, rows: getattr(r, key)[rows], kind)
+
+    def witness(pair: int, item: int) -> int:
+        get_pair, get_item = itemgetter(pair), itemgetter(item)
+        return marker(lambda r, status, rows: map(get_item, map(get_pair, r.witnesses[rows])))
+
+    def extra_item(key: str, kind, item: int | None = None) -> int:
+        def place(r, status, rows):
+            column = r.extra[key]
+            return (column if item is None else column[item])[rows]
+
+        return marker(place, kind)
+
     report = BoundReport(
-        name=name % marker(int) if indexed else name,
-        lhs=marker(int),
-        rhs=marker(int),
-        middle=marker(int) if middle else None,
-        holds=marker(bool),
-        precondition_met=marker(bool),
-        witnesses=tuple((marker(int), marker(int)) for _ in range(witnesses)),
+        name=name % field("indices") if indexed else name,
+        lhs=field("lhs"),
+        rhs=field("rhs"),
+        middle=field("middle") if middle else None,
+        holds=field("holds", bool),
+        precondition_met=field("precondition_met", bool),
+        witnesses=tuple((witness(pair, 0), witness(pair, 1)) for pair in range(witnesses)),
         extra=extra and {
-            key: list(map(marker, kind)) if isinstance(kind, tuple) else marker(kind)
+            key: [extra_item(key, kind, item) for item, kind in enumerate(kind)]
+            if isinstance(kind, tuple) else extra_item(key, kind)
             for key, kind in extra
         },
     ).to_json_dict()
-
-    def template(text: str) -> tuple[str, tuple[int, ...]]:
-        text = text.replace("%", "%%")
-        found = {text.find(str(base + column)): column for column in range(1, len(slots) + 1)}
-        found.pop(-1, None)
-        for column, slot in enumerate(slots, start=base + 1):
-            text = text.replace(str(column), slot)
-        return text, tuple(found[at] for at in sorted(found))
-
-    return report, template
-
-
-@cache
-def _report_template(shape: tuple) -> tuple[str, tuple[int, ...]]:
-    """A report's JSON text at depth 2 of ``json.dumps(indent=2)``, as a ``%`` template."""
-    report, template = _stub(shape)
-    return template(json.dumps(report, indent=2).replace("\n", "\n    "))
-
-
-@cache
-def _row_template(shape: tuple) -> tuple[str, tuple[int, ...]]:
-    """A report's CSV row, as ``csv.writer`` writes it, as a ``%`` template.
-
-    The stub's quoting holds for every row: no value filled in holds a comma,
-    a quote or a line break, except a string in the extra, whose cell its
-    quoted keys always quote, and whose quotes come doubled (``_CSV_SCALARS``).
-    """
-    r, template = _stub(shape)
-    extra = json.dumps(r["extra"], separators=(",", ":")) if "extra" in r else ""
-    witnesses = ";".join(f"{i}:{v}" for i, v in r["witnesses"])
-    row = [r["name"], r["lhs"], r.get("middle", ""), r["rhs"], r["holds"], r["precondition_met"]]
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([*row, witnesses, extra])
-    return template(out.getvalue())
-
-
-@cache
-def _line_template(shape: tuple) -> tuple[str, tuple[int, ...]]:
-    """A report's text line, its status (column 0) first, as a ``%`` template."""
-    r, template = _stub(shape)
-    middle = f" middle={r['middle']}" if "middle" in r else ""
-    text, order = template(f"{r['name']}: lhs={r['lhs']}{middle} rhs={r['rhs']}\n")
-    return "%-8s " + text, (0, *order)
-
-
-# The spelling of each scalar type in a CSV extra cell.
-_CSV_SCALARS = {**_SCALARS, str: lambda value: encode_basestring_ascii(value).replace('"', '""')}
-
-
-def _columns(r: _Columns, status: list, rows: slice, shape: tuple, spelling: dict) -> list:
-    """The columns of ``rows``: the status, then those of ``_stub``'s markers, in their order.
-
-    Those are the index, where the name takes one, lhs, rhs, the middle,
-    where the record has one, holds, precondition_met, and the witness and
-    extra items.  Booleans and any extra value but an int are spelled by
-    ``spelling``.
-    """
-    _, indexed, middle, witnesses, extra = shape
-    spell = spelling[bool]
-    columns = [status[rows], *([r.indices[rows]] if indexed else []), r.lhs[rows], r.rhs[rows]]
-    if middle:
-        columns.append(r.middle[rows])
-    columns += [map(spell, r.holds[rows]), map(spell, r.precondition_met[rows])]
-    if witnesses:
-        flat = list(chain.from_iterable(chain.from_iterable(r.witnesses[rows])))
-        columns += [flat[at :: 2 * witnesses] for at in range(2 * witnesses)]
-    for key, kind in extra or ():
-        column = r.extra[key]
-        if not isinstance(kind, tuple):
-            column, kind = (column,), (kind,)
-        for items, item_kind in zip(column, kind):
-            items = items[rows]
-            columns.append(items if item_kind is int else map(spelling[item_kind], items))
-    return columns
+    if format == "json":  # at depth 2 of json.dumps(indent=2)
+        text = json.dumps(report, indent=2).replace("\n", "\n    ")
+    elif format == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow([cell(report) for _, cell in _CSV_CELLS])
+        text = out.getvalue()
+    else:
+        lead = marker(lambda r, status, rows: status[rows], None, "%-8s")
+        middle = f" middle={report['middle']}" if "middle" in report else ""
+        text = f"{lead} {report['name']}: lhs={report['lhs']}{middle} rhs={report['rhs']}\n"
+    text = text.replace("%", "%%")
+    found = sorted((text.find(mark), mark) for mark in slots)
+    for mark, (slot, _, _) in slots.items():
+        text = text.replace(mark, slot)
+    return text, tuple(slots[mark][1:] for at, mark in found if at >= 0)
 
 
 def _check_texts(
@@ -275,27 +257,29 @@ def _check_texts(
 ) -> Iterator[str]:
     """check's output in ``format``: its head, a text per slice of ``_slices``, and its tail.
 
-    A slice fills its shape's template in ``format`` from ``_columns``, in
-    the template's slot order.  The JSON is the bytes of ``_emit_json`` on
+    A slice fills its shape's template in ``format`` from the template's
+    slots.  The JSON is the bytes of ``_emit_json`` on
     ``{"reports": [...], "summary": summary}`` with each report's JSON dict.
     """
     json_counts = json.dumps(summary, indent=2).replace("\n", "\n  ")
     text_counts = " ".join(f"{key}={count}" for key, count in summary.items())
-    template, spelling, head, joiner, tail = {
+    spelling, head, joiner, tail = {
         # The list is never empty: every circuit gets the two whole-circuit checks.
-        "json": (_report_template, _SCALARS, '{\n  "reports": [\n    ', ",\n    ",
+        "json": (_SCALARS, '{\n  "reports": [\n    ', ",\n    ",
                  f'\n  ],\n  "summary": {json_counts}\n}}\n'),
-        "csv": (_row_template, _CSV_SCALARS,
-                "name,lhs,middle,rhs,holds,precondition_met,witnesses,extra\n", "", ""),
-        "text": (_line_template, _SCALARS, "", "", f"summary: {text_counts}\n"),
+        "csv": (_CSV_SCALARS, ",".join(header for header, _ in _CSV_CELLS) + "\n", "", ""),
+        "text": (_SCALARS, "", "", f"summary: {text_counts}\n"),
     }[format]
     yield head
     separator = ""
     for r, status in zip(records, statuses):
         for rows, shape in _slices(r):
-            text, order = template(shape)
-            columns = _columns(r, status, rows, shape, spelling)
-            yield separator + joiner.join(map(text.__mod__, zip(*map(columns.__getitem__, order))))
+            text, slots = _template(format, shape)
+            columns = []
+            for place, kind in slots:
+                column = place(r, status, rows)
+                columns.append(column if kind is None else map(spelling[kind], column))
+            yield separator + joiner.join(map(text.__mod__, zip(*columns)))
             separator = joiner
     yield tail
 

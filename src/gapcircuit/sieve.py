@@ -83,14 +83,19 @@ def prime_count_upper_bound(limit: int) -> int:
 
     Dusart (1999): pi(x) <= x / ln x * (1 + 1.2762 / ln x) for x > 1; the
     added 1 covers the rounding of the float.  From 10^5 to 10^10 it is
-    less than 0.8% above pi(x).
+    less than 0.8% above pi(x).  Past the floats, from about 2^1024, it is
+    2x / b for x of b bits: there ln x >= (b - 1) ln 2 makes Dusart's bound
+    less than 1.45 x / (b - 1).
     """
     if limit < 2:
         return 0
     if limit < 17:
         return 6
     log = math.log(limit)
-    return int(limit / log * (1 + 1.2762 / log)) + 1
+    try:
+        return int(limit / log * (1 + 1.2762 / log)) + 1
+    except OverflowError:
+        return 2 * limit // limit.bit_length()
 
 
 def prime_count_lower_bound(limit: int) -> int:
@@ -98,19 +103,31 @@ def prime_count_lower_bound(limit: int) -> int:
 
     Rosser and Schoenfeld (1962): pi(x) > x / ln x for x >= 17; 0 below 17.
     pi(x) is a whole number above x / ln x, so the float's floor is at most
-    pi(x).  From 10^5 to 10^10 it is 4.5-9.5% below pi(x).
+    pi(x).  From 10^5 to 10^10 it is 4.5-9.5% below pi(x).  Past the floats,
+    from about 2^1024, it is x / b for x of b bits, as ln x < b ln 2 < b.
     """
     if limit < 17:
         return 0
-    return int(limit / math.log(limit))
+    try:
+        return int(limit / math.log(limit))
+    except OverflowError:
+        return limit // limit.bit_length()
 
 
 def nth_prime_upper_bound(n: int) -> int:
-    """Integer upper bound on the n-th prime (1-based)."""
+    """Integer upper bound on the n-th prime (1-based).
+
+    Rosser (1941): p_n < n (ln n + ln ln n) for n >= 6.  Past the floats,
+    from about 2^1024, it is n b for n of b bits, as ln n + ln ln n <
+    b ln 2 + ln b < b there.
+    """
     if n <= len(_SMALL_NTH_BOUND):
         return _SMALL_NTH_BOUND[n - 1]
-    x = float(n)
-    return int(x * (math.log(x) + math.log(math.log(x)))) + 1
+    try:
+        x = float(n)
+        return int(x * (math.log(x) + math.log(math.log(x)))) + 1
+    except OverflowError:
+        return n * n.bit_length()
 
 
 # The odd primes whose multiples, themselves included, are crossed out of

@@ -15,10 +15,10 @@ them afresh from the originator a block at a time into one reused buffer of
 Statistics and the checks of ``bounds`` read one cached summary of them,
 for a held circuit too, so they need O(n) memory: every field is one NumPy
 reduction per block.  Its sums are exact for any int64 input and raise only
-when read outside int64: they add rows straight into int64 when row 1's
-maximum times n - 1 fits, and 31-bit limbs otherwise.  Statistics ask for
-the totals alone; only the checks pay for each row's extremes and edge
-entries and each column's minimum.
+when read outside int64: row 1 decides once for every block, which adds
+straight into int64 when row 1's maximum times n - 1 fits, and into 31-bit
+limbs otherwise.  Statistics ask for the totals alone; only the checks pay
+for each row's extremes and edge entries and each column's minimum.
 """
 
 from __future__ import annotations
@@ -89,6 +89,11 @@ def _derive_into(row: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _buffer_cells(width: int) -> int:
+    """Cells of the row stream's buffer for rows of ``width`` segments: no block holds more."""
+    return max(_BLOCK_CELLS, 2 * width)
+
+
 def _block_height(width: int) -> int:
     """Rows of ``width`` segments in one block: as many as fit in ``_BLOCK_CELLS``.
 
@@ -111,7 +116,7 @@ def _blocks(o: Originator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     from.
     """
     width = o.n - 1
-    cells = np.empty(max(_BLOCK_CELLS, 2 * width), dtype=np.int64)
+    cells = np.empty(_buffer_cells(width), dtype=np.int64)
     row = _abs_diff_checked(o.terms, cells[:width])
     while True:
         height = min(width, _block_height(width))
@@ -265,10 +270,10 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
     are read, and no check buffer is made.
     """
     width = o.n - 1
-    size = max(_BLOCK_CELLS, 2 * width)  # no block holds more cells
-    # Row 0 holds the high limbs of the traces, row 1 the low limbs.
+    size = _buffer_cells(width)
+    # Row 0 holds the high limbs of the traces and row 1 the low limbs, or
+    # the traces themselves when the sums go straight into int64.
     columns = np.zeros((2, width), dtype=np.int64)
-    limbs = None
     row_sums = []
     if checks:
         per_row = row_maxima, row_minima, firsts, second_lasts, lasts, narrowing = (
@@ -288,6 +293,7 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
         if k == 1:
             # No total adds more than n - 1 entries, none above row 1's maximum.
             exact = int(block[0].max()) * width <= I64_MAX
+            limbs = None if exact else np.empty(2 * size, dtype=np.int64)
         ends_mask = tril[: height - 1, : height - 1]
         if checks:
             np.copyto(ends, I64_MAX, where=ends_mask)
@@ -302,10 +308,8 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
                 column_argmins[cols] = reached[:, cols].argmax(axis=0) + k
                 column_minima[cols] = least[cols]
         np.copyto(ends, 0, where=ends_mask)
-        if checks or not exact:
-            maxima = np.maximum.reduce(block, axis=1).tolist()
         if checks:
-            row_maxima += maxima
+            row_maxima += np.maximum.reduce(block, axis=1).tolist()
             firsts += block[:, 0].tolist()
             lasts += block[:, ::-1].diagonal().tolist()
             second_lasts += block[:, -2::-1].diagonal().tolist()
@@ -317,16 +321,12 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
             last = block[-1, : width - height + 1]
             rise = np.subtract(last[:-1], last[1:], out=folded[: width - height])
             narrowing.append(bool(np.less_equal(rise, last[1:], out=flags[: rise.size]).all()))
-        if exact or maxima[0] <= _LOW_MASK:
-            # The block is its own low limb and its high limb is all 0s, or
-            # its sums are proved to fit.  The fold comes last: it
-            # overwrites all rows but the last.
+        if exact:
+            # The fold comes last: it overwrites all rows but the last.
             row_sums += np.add.reduce(block, axis=1).tolist()
             low = columns[1, :width]
             np.add(low, _fold_rows(block, np.add, block), out=low)
         else:
-            if limbs is None:
-                limbs = np.empty(2 * size, dtype=np.int64)
             # Row j of the block is pair[j]: its high limbs, then its low limbs.
             pair = limbs[: 2 * height * width].reshape(height, 2, width)
             np.right_shift(block, _LIMB_BITS, out=pair[:, 0])
@@ -336,7 +336,7 @@ def _summarize_rows(o: Originator, checks: bool) -> _Summary:
             np.add(both, _fold_rows(pair, np.add, pair), out=both)
         k += height
     traces = columns[1].tolist()
-    if limbs is not None:  # else no block took the limb path: every high limb is 0
+    if not exact:
         traces = [(high << _LIMB_BITS) + low for high, low in zip(columns[0].tolist(), traces)]
     if not checks:
         return _Summary(row_sums, traces)

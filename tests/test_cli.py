@@ -501,6 +501,33 @@ class TestLimitRefusedBeforeSieving:
         )
 
 
+class TestHugeInputs:
+    """A count or limit past the floats meets the command's limit or the sieve
+    budget, as a smaller one does: exit 2 and one error line, no traceback."""
+
+    HUGE = {"2^1024-1": str(2**1024 - 1), "10^400": str(10**400), "10^700": str(10**700)}
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            ("stats --limit 2^1024-1", "cells, over the limit of"),
+            ("check --limit 2^1024-1", "cells, over the limit of"),
+            ("triangle --limit 2^1024-1", "exceeds the triangle cap of"),
+            ("stats --limit 10^400", "cells, over the limit of"),
+            ("check --limit 10^400", "cells, over the limit of"),
+            ("triangle --limit 10^400", "exceeds the triangle cap of"),
+            ("verify --method naive --limit 10^400", "cells, over the limit of"),
+            ("verify --primes 10^400", "bytes, over the budget of"),
+            ("verify --limit 10^700", "bytes, over the budget of"),
+        ],
+    )
+    def test_refused(self, capsys, argv, refusal):
+        code, out, err = run_cli(capsys, *(self.HUGE.get(arg, arg) for arg in argv.split()))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert refusal in err
+
+
 class TestStreamedTriangle:
     """triangle writes its rows as they are derived: no circuit, O(n) memory."""
 

@@ -1,6 +1,7 @@
 import bisect
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -329,6 +330,34 @@ class TestPrimeCountBound:
     )
     def test_known_counts(self, limit, count):
         assert count <= sieve.prime_count_upper_bound(limit) <= 1.008 * count
+
+
+class TestBoundsPastTheFloats:
+    """From about 2^1024, where a float cannot hold the input, each bound is
+    an integer one on the same side of the stated inequality."""
+
+    # The largest int that converts to a float: the next one rounds to 2^1024.
+    LARGEST = 2**1024 - 2**970 - 1
+
+    @pytest.mark.parametrize(
+        "x",
+        [LARGEST + 1, 2**1024, 10**400, 3**2000 + 7],
+        ids=["next", "2^1024", "10^400", "3^2000"],
+    )
+    def test_on_their_side(self, x):
+        with pytest.raises(OverflowError):
+            float(x)
+        log = Fraction(math.log(x))
+        assert sieve.prime_count_lower_bound(x) * log < x
+        assert sieve.prime_count_upper_bound(x) * log >= x * (1 + Fraction(1.2762) / log)
+        assert sieve.nth_prime_upper_bound(x) > x * (log + Fraction(math.log(log)))
+
+    def test_floats_kept_below(self):
+        x = self.LARGEST
+        assert sieve.prime_count_lower_bound(x) == int(x / math.log(x))
+        assert sieve.prime_count_upper_bound(x) == int(
+            x / math.log(x) * (1 + 1.2762 / math.log(x))
+        ) + 1
 
 
 class TestPrimeCountLowerBound:

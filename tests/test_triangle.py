@@ -632,6 +632,8 @@ class TestBlockPass:
     @example([0, 2**63 - 1, -1], 2, False)
     @example([0, 2**63 - 1, 2**63 - 1, 0], 1, True)
     @example([0, 2**63 - 1, 2**63 - 1, 0], 2, True)
+    # Row 1 near 2^60 puts every block on the limbs; the rows after it are small.
+    @example([0, 2**60, 3, 2**60 + 7, 1, 2**60 + 2, 6, 2**60, 4], 2, False)
     @settings(max_examples=300)
     def test_matches_oracle(self, terms, height, totals_first):
         s = streamed(terms)
@@ -685,6 +687,7 @@ class TestSmallBlocks:
     @example(oracle.first_primes(40), 17)
     @example([0, 2**62, 0, 2**62, 0], 5)
     @example([0, 2**63 - 1, -1], 4)
+    @example([0, 2**60, 3, 2**60 + 7, 1, 2**60 + 2, 6, 2**60, 4], 16)
     @settings(max_examples=300)
     def test_matches_oracle(self, terms, cells):
         o = Originator(terms)

@@ -273,17 +273,31 @@ MUTANTS = (
         JSON_WRITER_TESTS,
     ),
     Mutant(
-        "check's text slots filled in reverse order",
+        "check's slots filled in reverse order",
         "src/gapcircuit/cli.py",
-        '"%-8s " + text, (0, *order)',
-        '"%-8s " + text, (0, *order[::-1])',
+        "for place, kind in slots:",
+        "for place, kind in slots[::-1]:",
+        CHECK_WRITER_TESTS,
+    ),
+    Mutant(
+        "check's lhs marker given the rhs column",
+        "src/gapcircuit/cli.py",
+        'lhs=field("lhs")',
+        'lhs=field("rhs")',
+        CHECK_WRITER_TESTS,
+    ),
+    Mutant(
+        "check's extra list items all read the list's first column",
+        "src/gapcircuit/cli.py",
+        "column if item is None else column[item]",
+        "column if item is None else column[0]",
         CHECK_WRITER_TESTS,
     ),
     Mutant(
         "check's templates keep a literal % unescaped",
         "src/gapcircuit/cli.py",
-        'text = text.replace("%", "%%")',
-        "pass",
+        'text.replace("%", "%%")',
+        "text",
         CHECK_WRITER_TESTS,
     ),
     Mutant(
@@ -369,6 +383,13 @@ MUTANTS = (
         "_sandwich_lower(gaps[:-1])",
         "_sandwich_lower(gaps)",
         ("tests/test_bounds.py::TestSuite",),
+    ),
+    Mutant(
+        "every block summed straight into int64",
+        "src/gapcircuit/triangle.py",
+        "exact = int(block[0].max()) * width <= I64_MAX",
+        "exact = True",
+        SUMMARY_TESTS,
     ),
     Mutant(
         "less for less_equal in the block's narrowing flag",
