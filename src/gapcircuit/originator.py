@@ -168,6 +168,11 @@ def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     return z
 
 
+def _walk_may_overflow(model: RandomModel) -> bool:
+    """Whether the model's walk may leave int64: its largest possible last term does."""
+    return 1 + (model.n - 1) * model.g_max > I64_MAX
+
+
 def random_generalized(model: RandomModel) -> Originator:
     """Random sequence starting at 1 whose gaps are uniform over {2, 4, ..., g_max}.
 
@@ -202,7 +207,7 @@ def random_generalized(model: RandomModel) -> Originator:
     gaps += 1
     gaps *= 2
     # Terms increase, so the last one is the largest; bound it before cumsum.
-    if 1 + (model.n - 1) * model.g_max > I64_MAX:
+    if _walk_may_overflow(model):
         exact_last = 1 + _exact_sum(gaps)
         if exact_last > I64_MAX:
             raise Int64OverflowError(

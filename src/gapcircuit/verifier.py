@@ -60,6 +60,7 @@ from .originator import (
     Originator,
     RandomModel,
     _splitmix64,
+    _walk_may_overflow,
     dump_sequence,
     random_generalized,
 )
@@ -399,6 +400,14 @@ def search_counterexamples(
     set, the directory is created before the first trial, even if no trial
     fails, and the kept failing sequences are written there as sequence
     files named ``<trial seed>.txt``.
+
+    Rows 1..scan_depth depend only on the first scan_depth + 1 terms, and a
+    shorter walk on the same seed is the longer one's first terms, so a
+    trial that may not be kept draws that prefix first: a failure in it is
+    the whole walk's first failure, since no certificate comes before a bad
+    leader.  The whole walk is drawn for a kept example, when the prefix
+    passes, and when the walk may overflow int64, so that its error is the
+    one the whole walk raises.
     """
     start = time.perf_counter()
     if trials < 1:
@@ -412,10 +421,15 @@ def search_counterexamples(
     failures = 0
     orders: dict[int, int] = {}
     examples: list[FailingCase] = []
+    prefix = model.n if _walk_may_overflow(model) else min(model.n, scan_depth + 1)
     for trial in range(1, trials + 1):
         trial_seed = int(_splitmix64(seed, trial - 1, 1)[0])
-        o = random_generalized(RandomModel(model.n, model.g_max, trial_seed))
+        n = model.n if len(examples) < KEPT_FAILURES else prefix
+        o = random_generalized(RandomModel(n, model.g_max, trial_seed))
         report = verify_frontier(o, scan_depth)
+        if report.all_ones and n < model.n:  # the prefix passed: the whole walk decides
+            o = random_generalized(RandomModel(model.n, model.g_max, trial_seed))
+            report = verify_frontier(o, scan_depth)
         if report.all_ones:
             continue
         failures += 1

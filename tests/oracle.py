@@ -219,6 +219,48 @@ def random_generalized(n, g_max, seed):
     return terms
 
 
+def search(walk, n, g_max, trials, seed, scan_depth, kept):
+    """A search report's JSON fields, every trial's whole walk checked row by row.
+
+    ``walk(n, g_max, trial_seed)`` gives a trial's terms, and trial t takes
+    draw t - 1 of the stream on ``seed`` as its seed.  The first ``kept``
+    failing walks are the examples.  None when a walk leaves int64.
+    """
+    rng = SplitMix64(seed)
+    failures, orders, examples = 0, {}, []
+    for trial in range(1, trials + 1):
+        trial_seed = rng.next_u64()
+        terms = walk(n, g_max, trial_seed)
+        if max(terms) > 2**63 - 1:
+            return None
+        _, failure = leading_ones(terms)
+        if failure is None:
+            continue
+        failures += 1
+        orders[failure[0]] = orders.get(failure[0], 0) + 1
+        if len(examples) < kept:
+            examples.append(
+                {
+                    "trial": trial,
+                    "seed": trial_seed,
+                    "failure_order": failure[0],
+                    "failure_value": failure[1],
+                    "sequence": terms,
+                }
+            )
+    return {
+        "n": n,
+        "g_max": g_max,
+        "trials": trials,
+        "seed": seed,
+        "scan_depth": scan_depth,
+        "failures": failures,
+        "failure_rate": failures / trials,
+        "failure_orders": {str(k): orders[k] for k in sorted(orders)},
+        "examples": examples,
+    }
+
+
 def parse_sequence(text):
     """The sequence text format read one token at a time: the list of terms,
     or the first bad token's ("token" or "overflow", line, column)."""

@@ -1268,6 +1268,30 @@ class TestSearchCommand:
         assert code == 2
         assert "maximum gap" in err
 
+    @pytest.mark.parametrize(
+        "budget, argv, want",
+        [
+            # the walk that overflows is a trial's after the fifth kept example
+            (
+                None,
+                "--n 3 --gmax 6917529027641081856 --trials 12 --scan-depth 1 --seed 2",
+                "error: term 9816502544772407481 does not fit in a signed 64-bit integer\n",
+            ),
+            # the first trial's whole walk meets the budget, not a prefix
+            (
+                "10",
+                "--n 20 --gmax 4 --trials 3 --scan-depth 2",
+                "error: a walk of 20 terms needs 160 bytes, over the budget of 10 bytes "
+                "(raise GAPCIRCUIT_SIEVE_BUDGET to allow this)\n",
+            ),
+        ],
+    )
+    def test_errors_of_the_whole_walk(self, capsys, monkeypatch, budget, argv, want):
+        monkeypatch.delenv("GAPCIRCUIT_SIEVE_BUDGET", raising=False)
+        if budget is not None:
+            monkeypatch.setenv("GAPCIRCUIT_SIEVE_BUDGET", budget)
+        assert run_cli(capsys, "search", *argv.split()) == (2, "", want)
+
     def test_dump_dir(self, capsys, tmp_path):
         target = tmp_path / "dumps"
         code, out, _ = run_cli(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from gapcircuit import sieve, verifier
+from gapcircuit import originator, sieve, verifier
 from gapcircuit import (
     Int64OverflowError,
     Originator,
@@ -712,6 +712,19 @@ def _scans(run):
         return run(), calls
 
 
+def _draws(monkeypatch):
+    """The length of each walk the search draws from now on, in order."""
+    drawn = []
+    original = verifier.random_generalized
+
+    def recording(model):
+        drawn.append(model.n)
+        return original(model)
+
+    monkeypatch.setattr(verifier, "random_generalized", recording)
+    return drawn
+
+
 def _expected(terms, lo, span, depth, certificate, leaders):
     """A tile's record as ``oracle.tile_scan`` has it, the dtype by name."""
     scan = oracle.tile_scan(terms, lo, span, depth, certificate, leaders, verifier.SETTLE_EVERY)
@@ -791,8 +804,10 @@ class TestTileRecords:
 
     def test_search_scans_one_tile_per_trial(self, monkeypatch):
         # every trial fails at row 1 of tile 0: the fold scans that tile
-        # alone, derives no row and never sweeps
+        # alone, derives no row and never sweeps; past the kept examples a
+        # trial draws and scans only its first scan_depth + 1 = 501 terms
         monkeypatch.setattr(verifier, "_derive_into", _must_not_run)
+        drawn = _draws(monkeypatch)
         report, calls = _scans(
             lambda: search_counterexamples(RandomModel(20_000, 100, 0), trials=20, seed=1)
         )
@@ -800,6 +815,26 @@ class TestTileRecords:
         assert [(call[1], call[2], call[3].lo, call[3].stop) for call in calls] == [
             (1, True, 0, None)
         ] * 20
+        kept = verifier.KEPT_FAILURES
+        assert [call[3].width for call in calls] == [19_999] * kept + [500] * (20 - kept)
+        assert sum(drawn) == kept * 20_000 + (20 - kept) * 501
+
+
+def _bumped_primes(scan_depth):
+    """The first n primes, one term past index scan_depth + 1 raised by an even amount.
+
+    The index and the amount come from the seed, so a walk's first
+    scan_depth + 2 terms are primes and its prefixes are shorter walks.
+    """
+
+    def walk(n, g_max, seed):
+        terms = oracle.first_primes(n)
+        index = scan_depth + 2 + seed % 8
+        if index < n:
+            terms[index] += 2 * (seed >> 3) % 16
+        return terms
+
+    return walk
 
 
 class TestSearch:
@@ -869,6 +904,68 @@ class TestSearch:
             RandomModel(10, 4, 0), trials=3, seed=5, scan_depth=7
         )
         assert report.scan_depth == 7
+
+    @given(
+        source=st.sampled_from(["walk", "primes", "bumped"]),
+        n=st.integers(2, 40),
+        g_max=st.sampled_from([2, 4, 6, 100, 2**61]),
+        trials=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+        scan_depth=st.integers(1, 7),
+        kept=st.integers(0, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_whole_walk_search(self, source, n, g_max, trials, seed, scan_depth, kept):
+        # today's walks fail every trial at row 1; the primes pass, so the
+        # whole walk decides; bumped primes pass on the prefix and may fail
+        # past it, or fall back to the sweep
+        walk = {
+            "walk": oracle.random_generalized,
+            "primes": lambda n, g_max, seed: oracle.first_primes(n),
+            "bumped": _bumped_primes(scan_depth),
+        }[source]
+
+        def draw(model):
+            return Originator(walk(model.n, model.g_max, model.seed))
+
+        expected = oracle.search(walk, n, g_max, trials, seed, scan_depth, kept)
+        with mock.patch.object(verifier, "KEPT_FAILURES", kept), mock.patch.object(
+            verifier, "random_generalized", random_generalized if source == "walk" else draw
+        ):
+            run = partial(
+                search_counterexamples,
+                RandomModel(n, g_max, 0),
+                trials,
+                seed,
+                scan_depth=scan_depth,
+            )
+            if expected is None:
+                with pytest.raises(Int64OverflowError):
+                    run()
+            else:
+                assert run().to_json_dict() == expected
+
+    @given(
+        nm=st.integers(1, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        half_gap=st.one_of(
+            st.integers(1, 50), st.integers(1, 2**62 - 1), st.just(2**64 // 5 + 1)
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        block=st.sampled_from([1, 2, 3, 1 << 16]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shorter_walk_is_the_prefix(self, nm, half_gap, seed, block):
+        # the property the shortcut rests on: a walk of m terms is the first m
+        # terms of the longer walk on its seed, rejected draws and blocks included
+        n, m = nm
+        whole = oracle.random_generalized(n, 2 * half_gap, seed)
+        with mock.patch.object(originator, "_DRAW_BLOCK", block):
+            if max(whole[:m]) > 2**63 - 1:
+                with pytest.raises(Int64OverflowError):
+                    random_generalized(RandomModel(m, 2 * half_gap, seed))
+            else:
+                prefix = random_generalized(RandomModel(m, 2 * half_gap, seed))
+                assert prefix.terms.tolist() == whole[:m]
 
 
 class TestReportJson:

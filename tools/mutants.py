@@ -52,6 +52,13 @@ SWEEP_TESTS = ("tests/test_verifier.py::TestNaiveSweep", "tests/test_verifier.py
 SUMMARY_TESTS = tuple(
     f"tests/test_triangle.py::{name}" for name in ("TestBlockPass", "TestSummary", "TestSmallBlocks")
 )
+# The search's mutants run the tests of the prefix shortcut: the differential
+# test, the count of terms drawn and the errors of the whole walk.
+SEARCH_TESTS = (
+    "tests/test_verifier.py::TestSearch::test_matches_whole_walk_search",
+    "tests/test_verifier.py::TestTileRecords::test_search_scans_one_tile_per_trial",
+    "tests/test_cli.py::TestSearchCommand::test_errors_of_the_whole_walk",
+)
 CHECK_WRITER_TESTS = ("tests/test_cli.py::TestCheckColumns",)
 JSON_WRITER_TESTS = ("tests/test_cli.py::TestJsonWriter",)
 RANDOM_STREAM_TESTS = ("tests/test_originator.py::TestRandomStream",)
@@ -184,6 +191,36 @@ MUTANTS = (
         "        pass\n",
         "",
         SCAN_TESTS,
+    ),
+    Mutant(
+        "the search takes a passing prefix as the whole walk's verdict",
+        "src/gapcircuit/verifier.py",
+        "        if report.all_ones and n < model.n:  # the prefix passed: the whole walk decides\n"
+        "            o = random_generalized(RandomModel(model.n, model.g_max, trial_seed))\n"
+        "            report = verify_frontier(o, scan_depth)\n",
+        "",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the search draws every walk whole, as if it may overflow",
+        "src/gapcircuit/verifier.py",
+        "prefix = model.n if _walk_may_overflow(model) else",
+        "prefix = model.n if True else",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the search draws a prefix where the walk may overflow",
+        "src/gapcircuit/verifier.py",
+        "prefix = model.n if _walk_may_overflow(model) else",
+        "prefix = model.n if False else",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the search draws the kept examples as prefixes",
+        "src/gapcircuit/verifier.py",
+        "n = model.n if len(examples) < KEPT_FAILURES else prefix",
+        "n = prefix",
+        SEARCH_TESTS,
     ),
     Mutant(
         "greater_equal for greater in the cell limit",
